@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import IllPosedObjectiveError, ParameterError
 from .inference import parent_probabilities
-from .model import Instance, ParentRealization
+from .model import Instance
 
 NUMERATOR_CUTOFF = 1e-15
 
@@ -153,9 +153,7 @@ def build_exact_objective(instance: Instance) -> tuple[RatioObjective, np.ndarra
     votes = np.zeros(len(arms))
     n_rows_total = 0
     for n in instance.uncertain_nodes:
-        for idx in range(dag.row_count(n)):
-            pi = ParentRealization.from_index(dag.parents[n], idx)
-            vec = parent_probabilities(instance.table, dag, n, pi, arms)
+        for vec in parent_probabilities(instance.table, dag, n, arms).T:
             votes[int(np.argmax(vec))] += 1
             n_rows_total += 1
             keep = free[n] & (vec ** 2 >= NUMERATOR_CUTOFF)

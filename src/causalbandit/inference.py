@@ -8,13 +8,26 @@ Two independent engines compute the same quantities:
   distribution only over nodes whose children are still pending, batched over
   an axis of interventions.
 
-"Target probability" is P(last node = 1 | intervention); "parent probability"
-is the marginal that a node's parents realize a given bit pattern under an
-intervention (zero when the node itself is intervened).
+"Target probability" is P(last node = 1 | intervention). "Parent
+probabilities" of node n form an (arms, 2^k) matrix for its k parents: entry
+[a, r] is the mass of the nodes before n, under arm a, with n's parents equal
+to parent row r (zero when arm a fixes n). One sweep keeps the parents on the
+frontier to the end and reads every row at once. The mass is taken over the
+whole prefix, so sub-stochastic (partly estimated) nodes that are not
+ancestors of n still scale it: each row of the matrix sums to the arm's prefix
+mass, and a parentless node gets one column equal to it, not 1.
+
+A sweep is planned once for the whole arm set (node order, retirements, the
+widest frontier) and then run on chunks of arms, each sized so that one state
+array holds at most max(STATE_BUDGET, 2^width) cells. Every arm's arithmetic
+is the same whatever the chunking, so results do not depend on it.
+`CapacityError` is raised, before any state is built, only when the frontier
+of a single arm would be wider than FRONTIER_LIMIT.
 """
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +44,7 @@ from .model import (
 )
 
 FRONTIER_LIMIT = 20
+STATE_BUDGET = 1 << 16  # cells of one state array; the arm axis is chunked to fit
 BRUTE_FORCE_LIMIT = 20
 
 
@@ -103,22 +117,25 @@ def _arm_matrix(arms) -> np.ndarray:
     return m[None, :] if m.ndim == 1 else m
 
 
-def _sweep(table: ConditionalTable, dag: CausalDag, arms: np.ndarray,
-           evidence: dict[int, int], prefix: int) -> np.ndarray:
-    """Joint mass, per arm, of the evidence bits over the first `prefix` nodes,
-    where each arm's free nodes contribute their conditional factors and its
-    fixed nodes act as constants.
+class _Plan(NamedTuple):
+    """What a sweep does, worked out once for the whole arm set: the node
+    order, the frontier positions summed out after each step, and the widest
+    frontier the sweep reaches."""
 
-    Only nodes that can influence the answer are processed: the evidence, any
-    node whose rows do not sum to 1 (sub-stochastic estimates must contribute
-    their mass), and, transitively, parents of processed nodes that are free in
-    at least one arm. Everything else marginalizes to exactly 1 and is skipped.
-    """
-    n_arms = arms.shape[0]
-    free = arms == FREE
-    free_any = free.any(axis=0)
+    order: tuple[int, ...]
+    retire: tuple[tuple[int, ...], ...]
+    free_any: np.ndarray
+    width: int
 
-    relevant = set(evidence)
+
+def _plan(table: ConditionalTable, dag: CausalDag, free_any: np.ndarray,
+          evidence: dict[int, int], prefix: int, keep: tuple[int, ...]) -> _Plan:
+    """Only nodes that can influence the answer are processed: the evidence,
+    the kept nodes, any node whose rows do not sum to 1 (sub-stochastic
+    estimates must contribute their mass), and, transitively, parents of
+    processed nodes that are free in at least one arm. Everything else
+    marginalizes to exactly 1 and is skipped."""
+    relevant = set(evidence) | set(keep)
     for m in range(prefix):
         if free_any[m] and not table.node_is_stochastic(m):
             relevant.add(m)
@@ -155,7 +172,35 @@ def _sweep(table: ConditionalTable, dag: CausalDag, arms: np.ndarray,
         if free_any[m]:
             for p in dag.parents[m]:
                 last_read[p] = max(last_read[p], pos[m])
+    for m in keep:
+        last_read[m] = len(order)
 
+    frontier: list[int] = []
+    retire = []
+    width = 0
+    for step, m in enumerate(order):
+        if free_any[m] and m not in evidence:
+            frontier.append(m)
+            width = max(width, len(frontier))
+        gone = []
+        j = 0
+        while j < len(frontier):
+            if last_read[frontier[j]] <= step:
+                gone.append(j)
+                frontier.pop(j)
+            else:
+                j += 1
+        retire.append(tuple(gone))
+    if width > FRONTIER_LIMIT:
+        raise CapacityError(f"frontier width {width} exceeds limit {FRONTIER_LIMIT}")
+    return _Plan(tuple(order), tuple(retire), free_any, width)
+
+
+def _execute(plan: _Plan, table: ConditionalTable, dag: CausalDag, arms: np.ndarray,
+             evidence: dict[int, int], keep: tuple[int, ...]) -> np.ndarray:
+    """Run the plan on one chunk of arms; see `_sweep` for the result."""
+    n_arms = arms.shape[0]
+    free = arms == FREE
     state = np.ones((n_arms, 1))
     frontier: list[int] = []           # frontier[j] owns state bit weight 2^j
     det: dict[int, np.ndarray | int] = {}  # per-arm column or scalar constant
@@ -167,9 +212,9 @@ def _sweep(table: ConditionalTable, dag: CausalDag, arms: np.ndarray,
         j = frontier.index(p)
         return (np.arange(n_states, dtype=np.int64) >> j) & 1
 
-    for step, m in enumerate(order):
+    for m, gone in zip(plan.order, plan.retire):
         n_states = state.shape[1]
-        if not free_any[m]:
+        if not plan.free_any[m]:
             # fixed in every arm: value is the arm's clamp; evidence just filters
             if m in evidence:
                 state = state * (arms[:, m] == evidence[m]).astype(np.float64)[:, None]
@@ -192,24 +237,48 @@ def _sweep(table: ConditionalTable, dag: CausalDag, arms: np.ndarray,
             else:
                 w0 = np.where(fm, rows[idx, 0], clamp == 0)
                 w1 = np.where(fm, rows[idx, 1], clamp == 1)
-                if len(frontier) + 1 > FRONTIER_LIMIT:
-                    raise CapacityError(
-                        f"frontier width {len(frontier) + 1} exceeds limit {FRONTIER_LIMIT}")
                 state = np.concatenate([state * w0, state * w1], axis=1)
                 frontier.append(m)
         # retire frontier bits nothing later will read
-        j = 0
-        while j < len(frontier):
-            node = frontier[j]
-            if last_read[node] <= step:
-                f = len(frontier)
-                state = state.reshape(n_arms, 1 << (f - 1 - j), 2, 1 << j).sum(axis=2)
-                state = state.reshape(n_arms, -1)
-                frontier.pop(j)
-            else:
-                j += 1
+        for j in gone:
+            f = len(frontier)
+            state = state.reshape(n_arms, 1 << (f - 1 - j), 2, 1 << j).sum(axis=2)
+            state = state.reshape(n_arms, -1)
+            frontier.pop(j)
 
-    return state[:, 0].copy()
+    # only the kept nodes are left: on the frontier, or fixed in every arm
+    k = len(keep)
+    row = np.arange(1 << k)
+    col = np.zeros(1 << k, dtype=np.int64)
+    hit = np.ones((n_arms, 1 << k), dtype=bool)
+    for i, p in enumerate(keep):
+        bit = (row >> (k - 1 - i)) & 1
+        if p in det:
+            hit &= det[p][:, None] == bit
+        else:
+            col |= bit << frontier.index(p)
+    return np.where(hit, state[:, col], 0.0)
+
+
+def _sweep(table: ConditionalTable, dag: CausalDag, arms: np.ndarray,
+           evidence: dict[int, int], prefix: int, keep=()) -> np.ndarray:
+    """Joint mass, per arm, of the evidence bits over the first `prefix` nodes,
+    where each arm's free nodes contribute their conditional factors and its
+    fixed nodes act as constants, split by the bits of the `keep` nodes.
+
+    Returns shape (arms, 2^len(keep)); column r holds the mass with the kept
+    nodes equal to r's binary digits, the first kept node most significant.
+    The plan is made once for the whole arm set and then run on chunks of
+    arms sized so one state array holds at most max(STATE_BUDGET,
+    2^width) cells; each arm's arithmetic does not depend on the chunking.
+    """
+    keep = tuple(keep)
+    plan = _plan(table, dag, (arms == FREE).any(axis=0), evidence, prefix, keep)
+    chunk = max(1, STATE_BUDGET >> plan.width)
+    out = np.empty((arms.shape[0], 1 << len(keep)))
+    for lo in range(0, arms.shape[0], chunk):
+        out[lo:lo + chunk] = _execute(plan, table, dag, arms[lo:lo + chunk], evidence, keep)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +289,7 @@ def target_probabilities(table: ConditionalTable, dag: CausalDag, arms) -> np.nd
     m = _arm_matrix(arms)
     if m.shape[1] != dag.node_count:
         raise ParameterError("intervention length does not match the graph")
-    return _sweep(table, dag, m, {dag.node_count - 1: 1}, dag.node_count)
+    return _sweep(table, dag, m, {dag.node_count - 1: 1}, dag.node_count)[:, 0]
 
 
 def target_probability(table: ConditionalTable, dag: CausalDag, arm: Intervention) -> float:
@@ -228,19 +297,20 @@ def target_probability(table: ConditionalTable, dag: CausalDag, arm: Interventio
 
 
 def parent_probabilities(table: ConditionalTable, dag: CausalDag, n: int,
-                         pi: ParentRealization, arms) -> np.ndarray:
-    """Marginal that n's parents realize pi, per intervention; zero where n is fixed."""
+                         arms) -> np.ndarray:
+    """Chance that n's parents realize each parent row, per intervention: shape
+    (arms, 2^k) for k parents, column r for `ParentRealization.from_index(
+    dag.parents[n], r)`; rows are zero where n is fixed."""
     m = _arm_matrix(arms)
-    if tuple(pi.scope) != tuple(dag.parents[n]):
-        raise ParameterError(f"realization scope {pi.scope} is not the parent set of node {n}")
-    evidence = dict(zip(pi.scope, pi.bits))
-    out = _sweep(table, dag, m, evidence, n)
-    return np.where(m[:, n] == FREE, out, 0.0)
+    out = _sweep(table, dag, m, {}, n, dag.parents[n])
+    return np.where((m[:, n] == FREE)[:, None], out, 0.0)
 
 
 def parent_probability(table: ConditionalTable, dag: CausalDag, n: int,
                        pi: ParentRealization, arm: Intervention) -> float:
-    return float(parent_probabilities(table, dag, n, pi, arm)[0])
+    if tuple(pi.scope) != tuple(dag.parents[n]):
+        raise ParameterError(f"realization scope {pi.scope} is not the parent set of node {n}")
+    return float(parent_probabilities(table, dag, n, arm)[0, pi.index])
 
 
 def exact_target_probability(instance: Instance, arm: Intervention) -> float:
@@ -251,11 +321,6 @@ def exact_target_probability(instance: Instance, arm: Intervention) -> float:
 def exact_target_probabilities(instance: Instance) -> np.ndarray:
     """True target probability of every arm in the instance's set."""
     return target_probabilities(instance.table, instance.dag, instance.arms)
-
-
-def exact_parent_probability(instance: Instance, n: int, pi: ParentRealization,
-                             arm: Intervention) -> float:
-    return parent_probability(instance.table, instance.dag, n, pi, arm)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import BudgetError, ParameterError
 from .inference import Environment, parent_probabilities
-from .model import FREE, CausalDag, ConditionalTable, InterventionSet, ParentRealization
+from .model import FREE, CausalDag, ConditionalTable, InterventionSet
 
 
 def truncation_threshold(trunc_scale: float, node_count: int, uncertain_rows: int,
@@ -127,10 +127,10 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
 
     matrix = arms.matrix
     for n in uncertain:
-        snapshot = ConditionalTable(tuple(working))
+        # the query reads only nodes before n, so one per node serves every row
+        reach_rows = parent_probabilities(ConditionalTable(tuple(working)), dag, n, arms)
         for row_idx in range(dag.row_count(n)):
-            pi = ParentRealization.from_index(dag.parents[n], row_idx)
-            reach = parent_probabilities(snapshot, dag, n, pi, arms)
+            reach = reach_rows[:, row_idx]
             arm_idx = int(np.argmax(reach))
             best_arm[n][row_idx] = arm_idx
             best_value[n][row_idx] = reach[arm_idx]

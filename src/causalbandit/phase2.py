@@ -17,7 +17,7 @@ import numpy as np
 from .allocation import (MinimizeResult, RatioObjective, SolverConfig, minimize)
 from .errors import BudgetError, InternalConsistencyError, ParameterError
 from .inference import Environment, parent_probabilities
-from .model import FREE, ConditionalTable, ParentRealization, as_rng
+from .model import FREE, ConditionalTable, as_rng
 from .phase1 import Phase1Result, accumulate_counts, rate_estimate
 
 WEIGHT_CLIP = 1e-12
@@ -35,12 +35,12 @@ def build_allocation_objective(phase1: Phase1Result) -> RatioObjective:
     free = arms.matrix.T == FREE
     rows, masks, offsets = [], [], []
     for n in phase1.uncertain_nodes:
-        dropped = phase1.truncation.dropped_rows(n)
-        for row_idx in range(dag.row_count(n)):
-            if dropped[row_idx]:
-                continue
-            pi = ParentRealization.from_index(dag.parents[n], row_idx)
-            vec = parent_probabilities(phase1.trimmed, dag, n, pi, arms)
+        kept = np.flatnonzero(~phase1.truncation.dropped_rows(n))
+        if not len(kept):
+            continue
+        probs = parent_probabilities(phase1.trimmed, dag, n, arms)
+        for row_idx in kept:
+            vec = probs[:, row_idx]
             best = phase1.best_value[n][row_idx]
             if best == 0.0 and np.max(vec) > 0.0:
                 raise InternalConsistencyError(

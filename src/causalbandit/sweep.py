@@ -5,9 +5,11 @@ rebuilds the instance with a fresh conditional table and runs the strategy
 against a budget-capped environment. All randomness is derived from the base
 seed through a 64-bit mix of the cell coordinates (see `mix_seed`), so reruns
 of the same config produce byte-identical reports; the table seed omits the
-strategy, so every strategy inside a cell faces the same instances. Cells may
-be fanned out over processes via the CAUSALBANDIT_WORKERS environment
-variable; results are reduced in a fixed order either way.
+strategy, so every strategy inside a cell faces the same instances. The graph
+is loaded once per sweep and the arms are built once per budget; each cell
+gets them in its payload. Cells may be fanned out over processes via the
+CAUSALBANDIT_WORKERS environment variable; results are reduced in a fixed
+order either way.
 """
 from __future__ import annotations
 
@@ -173,7 +175,8 @@ def load_structure(config: ExperimentConfig) -> tuple[str, CausalDag, tuple[int,
         return f"tree-h{config.tree_height}", dag, targets
     name = config.bif
     if os.path.exists(name):
-        net = parse_bif(open(name).read())
+        with open(name, encoding="utf-8") as handle:
+            net = parse_bif(handle.read())
         label = os.path.splitext(os.path.basename(name))[0]
     else:
         net = load_bundled(name)
@@ -243,9 +246,9 @@ def _run_trial(strategy: str, instance: Instance, horizon: int,
 
 
 def _run_cell(payload):
-    config, budget, multiplier, strategy = payload
-    label, dag, targets = load_structure(config)
-    arms = build_arms(config, dag, targets, budget)
+    config, label, dag, arms, budget, multiplier, strategy = payload
+    if isinstance(arms, ParameterError):
+        return CellFailure(budget, multiplier, strategy, str(arms))
     uncertain = sum(dag.row_count(int(n)) for n in np.flatnonzero(arms.ever_free))
     horizon = multiplier * uncertain
     strategy_id = STRATEGIES.index(strategy)
@@ -275,7 +278,14 @@ def _run_cell(payload):
 
 def run_sweep(config: ExperimentConfig) -> RegretReport:
     config = config.validated()
-    payloads = [(config, budget, multiplier, strategy)
+    label, dag, targets = load_structure(config)
+    arms = {}
+    for budget in config.budgets:
+        try:
+            arms[budget] = build_arms(config, dag, targets, budget)
+        except ParameterError as err:
+            arms[budget] = err  # reported by each of the budget's cells
+    payloads = [(config, label, dag, arms[budget], budget, multiplier, strategy)
                 for budget in config.budgets
                 for multiplier in config.multipliers
                 for strategy in config.strategies]

@@ -1,5 +1,6 @@
 """Sweep harness: seed mixing, config parsing, report shape, determinism."""
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -140,6 +141,26 @@ def test_worker_pool_matches_serial(monkeypatch):
     monkeypatch.setenv("CAUSALBANDIT_WORKERS", "3")
     pooled = run_sweep(config).to_csv()
     assert pooled == serial
+
+
+def test_worker_pool_matches_serial_on_network_files(monkeypatch):
+    fixture = str(pathlib.Path(__file__).parent / "fixtures" / "diamond.bif")
+    configs = [ExperimentConfig(source="bif", bif=bif, budgets=(1, 2), multipliers=(3,),
+                                trials=1, seed=4,
+                                strategies=("proposed-practical", "uniform"))
+               for bif in ("water", fixture)]
+    serial = [run_sweep(c) for c in configs]
+    monkeypatch.setenv("CAUSALBANDIT_WORKERS", "2")
+    pooled = [run_sweep(c) for c in configs]
+    for one, many in zip(serial, pooled):
+        assert many.to_csv() == one.to_csv()
+        assert many.failures == one.failures
+    assert len(serial[0].rows) == 4 and not serial[0].failures
+    # diamond has one root: budget 2 has no arm set, and each of its cells says so
+    assert [r.instance for r in serial[1].rows] == ["diamond"] * 2
+    assert [(f.budget, f.strategy) for f in serial[1].failures] == [
+        (2, "proposed-practical"), (2, "uniform")]
+    assert all("budget 2" in f.message for f in serial[1].failures)
 
 
 def test_different_seeds_change_the_report():
