@@ -22,13 +22,13 @@ from .inference import parent_probabilities
 from .model import Instance
 
 NUMERATOR_CUTOFF = 1e-15
+STEP_SCALE = 1.0  # exponentiated-gradient step size STEP_SCALE / sqrt(iteration)
 
 
 @dataclass
 class SolverConfig:
     max_iters: int = 2000
     tolerance: float = 1e-4       # relative duality-gap target
-    step_scale: float = 1.0       # step size step_scale / sqrt(iteration)
 
 
 class RatioObjective:
@@ -118,7 +118,7 @@ def minimize(objective: RatioObjective, config: SolverConfig | None = None,
             break
         scale = np.max(np.abs(g))
         if scale > 0:
-            w = w * np.exp(-(config.step_scale / np.sqrt(it)) * (g / scale))
+            w = w * np.exp(-(STEP_SCALE / np.sqrt(it)) * (g / scale))
             w = w / w.sum()
     for cand in extra_starts:
         cand = np.asarray(cand, dtype=np.float64)
@@ -151,21 +151,17 @@ def build_exact_objective(instance: Instance) -> tuple[RatioObjective, np.ndarra
     rows = []
     masks = []
     votes = np.zeros(len(arms))
-    n_rows_total = 0
     for n in instance.uncertain_nodes:
         for vec in parent_probabilities(instance.table, dag, n, arms).T:
             votes[int(np.argmax(vec))] += 1
-            n_rows_total += 1
             keep = free[n] & (vec ** 2 >= NUMERATOR_CUTOFF)
             if keep.any():
                 rows.append(vec)
                 masks.append(keep)
-    if rows:
-        objective = RatioObjective(np.array(rows), np.array(masks), np.zeros(len(rows)))
-    else:
-        objective = RatioObjective(np.zeros((0, len(arms))), np.zeros((0, len(arms)), bool),
-                                   np.zeros(0))
-    return objective, votes / max(n_rows_total, 1)
+    shape = (len(rows), len(arms))  # holds when no term survives, too
+    objective = RatioObjective(np.reshape(rows, shape), np.reshape(masks, shape),
+                               np.zeros(len(rows)))
+    return objective, votes / max(instance.uncertain_rows, 1)
 
 
 def allocation_complexity(instance: Instance,

@@ -13,20 +13,20 @@ import sys
 import numpy as np
 
 from .allocation import SolverConfig, allocation_complexity
-from .bif import load_bundled, parse_bif, to_causal_dag
+from .bif import parse_bif, to_causal_dag
 from .errors import (
     BifParseError,
     BudgetError,
     CapacityError,
     IllPosedObjectiveError,
     ParameterError,
-    ScopeError,
 )
-from .model import FREE, Instance, InterventionSet, random_conditional_table
+from .model import FREE, Instance, InterventionSet, random_conditional_table, uncertain_rows
 from .sweep import (
     ExperimentConfig,
     build_arms,
     config_from_mapping,
+    _parse_int_list,
     load_structure,
     parse_config_text,
     run_sweep,
@@ -61,8 +61,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a config key (repeatable)")
     run.add_argument("--out", help="write the CSV here instead of standard output")
-    run.add_argument("--fix-alpha", action="store_true",
-                     help="reuse the first trial's conditional table for all trials")
 
     gamma = sub.add_parser("gamma", parents=[_source_flags()],
                            help="compute the allocation complexity of an instance")
@@ -99,11 +97,7 @@ def _source_config(args) -> ExperimentConfig:
 
 
 def _parse_budgets(text: str) -> list[int]:
-    try:
-        budgets = [int(b) for b in text.replace(" ", "").split(",") if b]
-    except ValueError:
-        raise ParameterError(f"--budgets expects comma-separated integers, "
-                             f"got {text!r}") from None
+    budgets = list(_parse_int_list("--budgets", text))
     if not budgets:
         raise ParameterError("--budgets lists no budgets")
     return budgets
@@ -113,13 +107,9 @@ def _cmd_gen(args, out) -> int:
     config = _source_config(args)
     label, dag, targets = load_structure(config)
     budgets = _parse_budgets(args.budgets)
-    counts = []
-    row_counts = []
-    for b in budgets:
-        arms = build_arms(config, dag, targets, b)
-        counts.append(len(arms))
-        row_counts.append(sum(dag.row_count(int(n))
-                              for n in np.flatnonzero(arms.ever_free)))
+    arm_sets = [build_arms(config, dag, targets, b) for b in budgets]
+    counts = [len(arms) for arms in arm_sets]
+    row_counts = [uncertain_rows(dag, arms) for arms in arm_sets]
     out.write(f"instance: {label}\n")
     out.write(f"N={dag.node_count}\n")
     if len(set(row_counts)) == 1:
@@ -177,7 +167,7 @@ def _cmd_gamma(args, out) -> int:
 def _cmd_parse_bif(args, out) -> int:
     with open(args.path, encoding="utf-8") as fh:
         net = parse_bif(fh.read())
-    dag, index = to_causal_dag(net)
+    dag, _ = to_causal_dag(net)
     out.write(f"name: {net.name}\n")
     out.write(f"variables: {len(net.variables)}\n")
     out.write(f"edges: {net.edge_count}\n")
@@ -197,8 +187,6 @@ def _cmd_run(args, out) -> int:
             raise ParameterError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
-    if args.fix_alpha:
-        mapping["fix_alpha"] = "true"
     config = config_from_mapping(mapping)
     report = run_sweep(config)
     for f in report.failures:
@@ -229,7 +217,7 @@ def main(argv=None) -> int:
     except OSError as err:
         sys.stderr.write(f"data error: {err}\n")
         return DATA_ERROR
-    except (ParameterError, BudgetError, CapacityError, ScopeError,
+    except (ParameterError, BudgetError, CapacityError,
             IllPosedObjectiveError) as err:
         sys.stderr.write(f"error: {err}\n")
         return USAGE_ERROR

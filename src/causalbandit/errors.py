@@ -5,10 +5,6 @@ class ParameterError(ValueError):
     """Caller supplied an argument outside an operation's precondition."""
 
 
-class ScopeError(ValueError):
-    """A realization was restricted to indices outside its scope."""
-
-
 class BudgetError(ValueError):
     """Experiment horizon too small for the requested procedure."""
 

@@ -23,6 +23,9 @@ array holds at most max(STATE_BUDGET, 2^width) cells. Every arm's arithmetic
 is the same whatever the chunking, so results do not depend on it.
 `CapacityError` is raised, before any state is built, only when the frontier
 of a single arm would be wider than FRONTIER_LIMIT.
+
+Sampling has one entry point, `sample_batch`. Strategies reach it only through
+an `Environment`, whose `intervene_many` also charges the experiment ledger.
 """
 from __future__ import annotations
 
@@ -313,16 +316,6 @@ def parent_probability(table: ConditionalTable, dag: CausalDag, n: int,
     return float(parent_probabilities(table, dag, n, arm)[0, pi.index])
 
 
-def exact_target_probability(instance: Instance, arm: Intervention) -> float:
-    """True P(reward node = 1 | intervention) for the instance's table."""
-    return target_probability(instance.table, instance.dag, arm)
-
-
-def exact_target_probabilities(instance: Instance) -> np.ndarray:
-    """True target probability of every arm in the instance's set."""
-    return target_probabilities(instance.table, instance.dag, instance.arms)
-
-
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -341,17 +334,9 @@ def sample_batch(table: ConditionalTable, dag: CausalDag, arm_values, count: int
     return out
 
 
-def sample(instance: Instance, arm: Intervention, rng) -> np.ndarray:
-    """One realization of all nodes under the intervention."""
-    return sample_batch(instance.table, instance.dag, arm.values, 1, rng)[0]
-
-
 class Environment:
     """What a strategy is allowed to touch: apply interventions, observe
     realizations, and spend experiments; the true table stays hidden."""
-
-    def intervene(self, arm) -> np.ndarray:
-        return self.intervene_many(arm, 1)[0]
 
     def intervene_many(self, arm, count: int) -> np.ndarray:
         raise NotImplementedError

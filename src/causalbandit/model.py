@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError, ScopeError
+from .errors import ParameterError
 
 FREE = -1  # "not intervened" entry of an intervention vector
 
@@ -55,27 +55,8 @@ class CausalDag:
         return sum(self.row_count(n) for n in range(self.node_count))
 
     @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        out = [[] for _ in range(self.node_count)]
-        for n, ps in enumerate(self.parents):
-            for p in ps:
-                out[p].append(n)
-        return tuple(tuple(c) for c in out)
-
-    @cached_property
     def roots(self) -> tuple[int, ...]:
         return tuple(n for n, ps in enumerate(self.parents) if not ps)
-
-    def ancestors(self, nodes) -> tuple[int, ...]:
-        """Strict ancestors of the given nodes, ascending."""
-        seen = set()
-        stack = list(nodes)
-        while stack:
-            for p in self.parents[stack.pop()]:
-                if p not in seen:
-                    seen.add(p)
-                    stack.append(p)
-        return tuple(sorted(seen))
 
     def parent_indices(self, n: int, omega: np.ndarray) -> np.ndarray:
         """Row indices of node n's parent realization for each row of omega (m, N)."""
@@ -87,7 +68,7 @@ class CausalDag:
 
 @dataclass(frozen=True)
 class ParentRealization:
-    """Bit assignment over a sorted node scope (a parent set, possibly extended)."""
+    """Bit assignment over a sorted node scope (a parent set)."""
 
     scope: tuple[int, ...]
     bits: tuple[int, ...]
@@ -114,20 +95,6 @@ class ParentRealization:
             idx = (idx << 1) | b
         return idx
 
-    def value(self, node: int) -> int:
-        return self.bits[self.scope.index(node)]
-
-    def restrict(self, sub_scope) -> "ParentRealization":
-        sub = tuple(int(s) for s in sub_scope)
-        missing = [s for s in sub if s not in self.scope]
-        if missing:
-            raise ScopeError(f"nodes {missing} not in scope {self.scope}")
-        return ParentRealization(sub, tuple(self.value(s) for s in sub))
-
-    def extend(self, node: int, bit: int) -> "ParentRealization":
-        """Add one more node to the scope, keeping it sorted."""
-        pairs = sorted(zip(self.scope + (node,), self.bits + (bit,)))
-        return ParentRealization(tuple(s for s, _ in pairs), tuple(b for _, b in pairs))
 
 
 @dataclass(frozen=True)
@@ -159,13 +126,6 @@ class ConditionalTable:
             p1 = np.asarray(p1, dtype=np.float64)
             rows.append(np.stack([1.0 - p1, p1], axis=1))
         return cls(tuple(rows))
-
-    def prob(self, n: int, pi: ParentRealization, value: int) -> float:
-        return float(self.rows[n][pi.index, value])
-
-    def success(self, n: int) -> np.ndarray:
-        """P(node n = 1 | parents = row) for every row."""
-        return self.rows[n][:, 1]
 
     def node_is_stochastic(self, n: int, tol: float = 1e-9) -> bool:
         return bool(np.all(np.abs(self.rows[n].sum(axis=1) - 1.0) <= tol))
@@ -254,8 +214,14 @@ class Instance:
 
     @property
     def uncertain_rows(self) -> int:
-        """The budget unit: conditional rows of the uncertain nodes."""
-        return sum(self.dag.row_count(n) for n in self.uncertain_nodes)
+        """The budget unit C; see `uncertain_rows`."""
+        return uncertain_rows(self.dag, self.arms)
+
+
+def uncertain_rows(dag: CausalDag, arms: InterventionSet) -> int:
+    """The budget unit C, in which horizons and the per-pair batch are set:
+    conditional rows of the nodes that at least one arm leaves free."""
+    return sum(dag.row_count(int(n)) for n in np.flatnonzero(arms.ever_free))
 
 
 @dataclass

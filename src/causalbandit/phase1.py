@@ -1,14 +1,17 @@
 """First estimation phase: one batched scan per uncertain (node, parent-row)
 pair.
 
-Pairs are visited in node order, so every upstream estimate is final before it
-feeds a downstream pair's reachability score. For each pair the arm with the
-highest estimated chance of producing the wanted parent pattern is pulled for
-the pair's whole batch; the conditional success rate is then read off the
-matching samples. Rates whose (rate x reachability) product falls under the
-truncation threshold are marked unreliable and zeroed in the returned table;
-pairs whose best reachability itself is tiny are marked rare and only excluded
-later, at final-estimate time.
+This is the one place the horizon T is split: each of the C uncertain pairs
+(`model.uncertain_rows`) gets floor(T / 3C) samples, and phase 2 reads that
+batch and T from the result. Pairs are visited in node order, so every
+upstream estimate is final before it feeds a downstream node's reachability
+scores. For each pair the arm most likely to produce the wanted parent
+pattern is pulled for the whole batch, and `rate_estimates`, the rule both
+phases use, reads the rates off the matching samples. Rates whose
+(rate x reachability) product falls under the truncation threshold are marked
+unreliable and zeroed in the returned table; pairs whose best reachability
+itself is tiny are marked rare and only excluded later, at final-estimate
+time.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import BudgetError, ParameterError
 from .inference import Environment, parent_probabilities
-from .model import FREE, CausalDag, ConditionalTable, InterventionSet
+from .model import FREE, CausalDag, ConditionalTable, InterventionSet, uncertain_rows
 
 
 def truncation_threshold(trunc_scale: float, node_count: int, uncertain_rows: int,
@@ -35,12 +38,12 @@ def truncation_threshold(trunc_scale: float, node_count: int, uncertain_rows: in
         * math.log(horizon) / horizon
 
 
-def rate_estimate(seen: float, seen_one: float, value: int) -> float:
-    """Empirical conditional rate; zero observations give zero for both values."""
-    if seen == 0:
-        return 0.0
-    rate_one = seen_one / seen
-    return rate_one if value == 1 else 1.0 - rate_one
+def rate_estimates(seen, seen_one) -> np.ndarray:
+    """Empirical conditional rates, shape (rows, 2) indexed [row, value], from
+    per-row sample counts; a row with no samples gives zero for both values."""
+    seen = np.asarray(seen)
+    rate_one = np.divide(seen_one, seen, out=np.zeros(seen.shape), where=seen > 0)
+    return np.where((seen > 0)[:, None], np.stack([1.0 - rate_one, rate_one], axis=1), 0.0)
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,7 @@ class Phase1Result:
     per_pair: int
     threshold: float
     uncertain_nodes: tuple[int, ...]
+    uncertain_rows: int
 
 
 def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
@@ -103,7 +107,7 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
     if trunc_scale < 0:
         raise ParameterError("trunc_scale must be nonnegative")
     uncertain = tuple(n for n in range(dag.node_count) if bool(arms.ever_free[n]))
-    total_rows = sum(dag.row_count(n) for n in uncertain)
+    total_rows = uncertain_rows(dag, arms)
     if total_rows == 0:
         raise ParameterError("no arm leaves any node free")
     if horizon < 3 * total_rows:
@@ -113,44 +117,35 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
     threshold = (truncation_threshold(trunc_scale, dag.node_count, total_rows, horizon)
                  if trunc_scale > 0 else 0.0)
 
-    working = [np.zeros((dag.row_count(n), 2)) for n in range(dag.node_count)]
-    unreliable = [np.zeros((dag.row_count(n), 2), dtype=bool) for n in range(dag.node_count)]
-    rare = [np.zeros((dag.row_count(n), 2), dtype=bool) for n in range(dag.node_count)]
-    seen = [np.zeros(dag.row_count(n), dtype=np.int64) for n in range(dag.node_count)]
-    seen_one = [np.zeros(dag.row_count(n), dtype=np.int64) for n in range(dag.node_count)]
-    best_arm = [np.full(dag.row_count(n), -1, dtype=np.int64) for n in range(dag.node_count)]
-    best_value = [np.zeros(dag.row_count(n)) for n in range(dag.node_count)]
-    shared_seen = [np.zeros(dag.row_count(n), dtype=np.int64) for n in range(dag.node_count)] \
-        if record_shared else None
-    shared_seen_one = [np.zeros(dag.row_count(n), dtype=np.int64) for n in range(dag.node_count)] \
-        if record_shared else None
+    rows = [dag.row_count(n) for n in range(dag.node_count)]
+    working = [np.zeros((r, 2)) for r in rows]
+    unreliable = [np.zeros((r, 2), dtype=bool) for r in rows]
+    rare = [np.zeros((r, 2), dtype=bool) for r in rows]
+    seen = [np.zeros(r, dtype=np.int64) for r in rows]
+    seen_one = [np.zeros(r, dtype=np.int64) for r in rows]
+    best_arm = [np.full(r, -1, dtype=np.int64) for r in rows]
+    best_value = [np.zeros(r) for r in rows]
+    shared_seen = [np.zeros(r, dtype=np.int64) for r in rows] if record_shared else None
+    shared_seen_one = [np.zeros(r, dtype=np.int64) for r in rows] if record_shared else None
 
     matrix = arms.matrix
     for n in uncertain:
         # the query reads only nodes before n, so one per node serves every row
-        reach_rows = parent_probabilities(ConditionalTable(tuple(working)), dag, n, arms)
-        for row_idx in range(dag.row_count(n)):
-            reach = reach_rows[:, row_idx]
-            arm_idx = int(np.argmax(reach))
-            best_arm[n][row_idx] = arm_idx
-            best_value[n][row_idx] = reach[arm_idx]
+        reach = parent_probabilities(ConditionalTable(tuple(working)), dag, n, arms)
+        best_arm[n] = np.argmax(reach, axis=0)
+        best_value[n] = reach[best_arm[n], np.arange(rows[n])]
+        for row_idx, arm_idx in enumerate(best_arm[n]):
             omega = env.intervene_many(matrix[arm_idx], per_pair)
-            parent_idx = dag.parent_indices(n, omega)
-            match = parent_idx == row_idx
-            t = int(match.sum())
-            t1 = int((match & (omega[:, n] == 1)).sum())
-            seen[n][row_idx] = t
-            seen_one[n][row_idx] = t1
-            for value in (0, 1):
-                est = rate_estimate(t, t1, value)
-                if trunc_scale > 0 and est * best_value[n][row_idx] <= 2.0 * math.e * threshold:
-                    unreliable[n][row_idx, value] = True
-                    working[n][row_idx, value] = 0.0
-                else:
-                    working[n][row_idx, value] = est
+            match = dag.parent_indices(n, omega) == row_idx
+            seen[n][row_idx] = match.sum()
+            seen_one[n][row_idx] = (match & (omega[:, n] == 1)).sum()
             if record_shared:
                 accumulate_counts(dag, uncertain, matrix[arm_idx], omega,
                                   shared_seen, shared_seen_one)
+        est = rate_estimates(seen[n], seen_one[n])
+        if trunc_scale > 0:
+            unreliable[n] = est * best_value[n][:, None] <= 2.0 * math.e * threshold
+        working[n] = np.where(unreliable[n], 0.0, est)
 
     if trunc_scale > 0:
         rare_cut = 8.0 * math.e * total_rows ** 2 * threshold
@@ -173,4 +168,5 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
         per_pair=per_pair,
         threshold=threshold,
         uncertain_nodes=uncertain,
+        uncertain_rows=total_rows,
     )

@@ -1,12 +1,13 @@
 """Second estimation phase: shared-count refinement of the phase-1 estimates.
 
-Part one replays each pair's recorded best arm for a batch of the same size as
-in phase 1, but every free uncertain node of the applied arm absorbs counts
-from every sample. Part two spends a third of the horizon on arms drawn from a
-weight vector: either the minimizer of the phase-1 allocation objective
-("paper") or the share of pairs that voted for each arm ("practical").
-Practical mode additionally folds the shared counts recorded during phase 1
-into the totals. Final rates are zeroed wherever phase 1 dropped the entry.
+The horizon, the per-pair batch and C are read from the phase-1 result. Part
+one replays each pair's recorded best arm for one batch, but every free
+uncertain node of the applied arm absorbs counts from every sample. Part two
+spends a third of the horizon on arms drawn from a weight vector: either the
+minimizer of the phase-1 allocation objective ("paper") or the share of pairs
+that voted for each arm ("practical"). Practical mode additionally folds the
+shared counts recorded during phase 1 into the totals. Final rates follow
+`phase1.rate_estimates` and are zeroed wherever phase 1 dropped the entry.
 """
 from __future__ import annotations
 
@@ -15,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import (MinimizeResult, RatioObjective, SolverConfig, minimize)
-from .errors import BudgetError, InternalConsistencyError, ParameterError
+from .errors import InternalConsistencyError, ParameterError
 from .inference import Environment, parent_probabilities
 from .model import FREE, ConditionalTable, as_rng
-from .phase1 import Phase1Result, accumulate_counts, rate_estimate
+from .phase1 import Phase1Result, accumulate_counts, rate_estimates
 
 WEIGHT_CLIP = 1e-12
 
@@ -31,7 +32,6 @@ def build_allocation_objective(phase1: Phase1Result) -> RatioObjective:
     its recomputed probabilities are not signals a corrupted result.
     """
     dag, arms = phase1.dag, phase1.arms
-    total_rows = sum(dag.row_count(n) for n in phase1.uncertain_nodes)
     free = arms.matrix.T == FREE
     rows, masks, offsets = [], [], []
     for n in phase1.uncertain_nodes:
@@ -48,22 +48,15 @@ def build_allocation_objective(phase1: Phase1Result) -> RatioObjective:
                     "reachability but nonzero recomputed probabilities")
             rows.append(vec)
             masks.append(free[n])
-            offsets.append(best / total_rows)
-    if not rows:
-        return RatioObjective(np.zeros((0, len(arms))),
-                              np.zeros((0, len(arms)), dtype=bool), np.zeros(0))
-    return RatioObjective(np.array(rows), np.array(masks), np.array(offsets))
+            offsets.append(best / phase1.uncertain_rows)
+    shape = (len(rows), len(arms))  # holds when no pair survives, too
+    return RatioObjective(np.reshape(rows, shape), np.reshape(masks, shape), np.array(offsets))
 
 
 def heuristic_eta(phase1: Phase1Result) -> np.ndarray:
     """Per-arm share of pairs whose phase-1 scan picked that arm."""
-    counts = np.zeros(len(phase1.arms))
-    total = 0
-    for n in phase1.uncertain_nodes:
-        for arm_idx in phase1.best_arm[n]:
-            counts[arm_idx] += 1
-            total += 1
-    return counts / total
+    votes = np.concatenate([phase1.best_arm[n] for n in phase1.uncertain_nodes])
+    return np.bincount(votes, minlength=len(phase1.arms)) / len(votes)
 
 
 @dataclass(frozen=True)
@@ -73,24 +66,19 @@ class Phase2Result:
     seen_one: tuple[np.ndarray, ...]
     weights: np.ndarray
     mode: str
-    per_pair: int
     draws: int
     solver: MinimizeResult | None
 
 
-def run_phase2(env: Environment, phase1: Phase1Result, horizon: int, mode: str,
-               rng, solver_config: SolverConfig | None = None) -> Phase2Result:
+def run_phase2(env: Environment, phase1: Phase1Result, mode: str, rng,
+               solver_config: SolverConfig | None = None) -> Phase2Result:
+    """Spend the last two thirds of phase 1's horizon; return the final estimate."""
     if mode not in ("paper", "practical"):
         raise ParameterError(f"mode must be 'paper' or 'practical', got {mode!r}")
     if mode == "practical" and phase1.shared_seen is None:
         raise ParameterError("practical mode needs phase-1 shared counts")
     dag, arms = phase1.dag, phase1.arms
     uncertain = phase1.uncertain_nodes
-    total_rows = sum(dag.row_count(n) for n in uncertain)
-    if horizon < 3 * total_rows:
-        raise BudgetError(
-            f"horizon {horizon} is below 3x the {total_rows} uncertain rows")
-    per_pair = horizon // (3 * total_rows)
     rng = as_rng(rng)
 
     seen = [np.zeros(dag.row_count(n), dtype=np.int64) for n in range(dag.node_count)]
@@ -98,9 +86,8 @@ def run_phase2(env: Environment, phase1: Phase1Result, horizon: int, mode: str,
 
     matrix = arms.matrix
     for n in uncertain:
-        for row_idx in range(dag.row_count(n)):
-            arm_idx = int(phase1.best_arm[n][row_idx])
-            omega = env.intervene_many(matrix[arm_idx], per_pair)
+        for arm_idx in phase1.best_arm[n]:
+            omega = env.intervene_many(matrix[arm_idx], phase1.per_pair)
             accumulate_counts(dag, uncertain, matrix[arm_idx], omega, seen, seen_one)
 
     solver = None
@@ -113,7 +100,7 @@ def run_phase2(env: Environment, phase1: Phase1Result, horizon: int, mode: str,
     total = weights.sum()
     weights = weights / total if total > 0 else np.full(len(arms), 1.0 / len(arms))
 
-    draws = horizon // 3
+    draws = phase1.horizon // 3
     picks = np.searchsorted(np.cumsum(weights), rng.random(draws), side="right")
     picks = np.clip(picks, 0, len(arms) - 1)
     pick_counts = np.bincount(picks, minlength=len(arms))
@@ -128,12 +115,8 @@ def run_phase2(env: Environment, phase1: Phase1Result, horizon: int, mode: str,
 
     final = [np.zeros((dag.row_count(n), 2)) for n in range(dag.node_count)]
     for n in uncertain:
-        dropped = phase1.truncation.dropped(n)
-        for row_idx in range(dag.row_count(n)):
-            for value in (0, 1):
-                if not dropped[row_idx, value]:
-                    final[n][row_idx, value] = rate_estimate(
-                        seen[n][row_idx], seen_one[n][row_idx], value)
+        final[n] = np.where(phase1.truncation.dropped(n), 0.0,
+                            rate_estimates(seen[n], seen_one[n]))
 
     return Phase2Result(
         estimate=ConditionalTable(tuple(final)),
@@ -141,7 +124,6 @@ def run_phase2(env: Environment, phase1: Phase1Result, horizon: int, mode: str,
         seen_one=tuple(seen_one),
         weights=weights,
         mode=mode,
-        per_pair=per_pair,
         draws=draws,
         solver=solver,
     )

@@ -14,7 +14,7 @@ import numpy as np
 from .allocation import SolverConfig
 from .errors import ParameterError
 from .inference import Environment, target_probabilities, target_probability
-from .model import CausalDag, Instance, Intervention, InterventionSet
+from .model import CausalDag, Instance, Intervention, InterventionSet, uncertain_rows
 from .phase1 import run_phase1
 from .phase2 import run_phase2
 
@@ -32,8 +32,7 @@ def default_trunc_scale(dag: CausalDag, arms: InterventionSet, mode: str) -> flo
     mode, disabled entirely in practical mode."""
     if mode == "practical":
         return 0.0
-    rows = sum(dag.row_count(n) for n in range(dag.node_count) if bool(arms.ever_free[n]))
-    return rows ** 3 / dag.node_count
+    return uncertain_rows(dag, arms) ** 3 / dag.node_count
 
 
 def run_causal_bandit(env: Environment, dag: CausalDag, arms: InterventionSet,
@@ -48,7 +47,7 @@ def run_causal_bandit(env: Environment, dag: CausalDag, arms: InterventionSet,
     before = env.experiments_used
     phase1 = run_phase1(env, dag, arms, trunc_scale, horizon,
                         record_shared=(mode == "practical"))
-    phase2 = run_phase2(env, phase1, horizon, mode, rng, solver_config)
+    phase2 = run_phase2(env, phase1, mode, rng, solver_config)
     mu_hat = target_probabilities(phase2.estimate, dag, arms)
     chosen = int(np.argmax(mu_hat))
     return StrategyResult(chosen, arms[chosen], mu_hat, env.experiments_used - before)

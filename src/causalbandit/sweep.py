@@ -31,6 +31,7 @@ from .model import (
     enumerate_root_interventions,
     make_binary_tree_dag,
     random_conditional_table,
+    uncertain_rows,
 )
 from .strategies import (
     run_causal_bandit,
@@ -249,8 +250,7 @@ def _run_cell(payload):
     config, label, dag, arms, budget, multiplier, strategy = payload
     if isinstance(arms, ParameterError):
         return CellFailure(budget, multiplier, strategy, str(arms))
-    uncertain = sum(dag.row_count(int(n)) for n in np.flatnonzero(arms.ever_free))
-    horizon = multiplier * uncertain
+    horizon = multiplier * uncertain_rows(dag, arms)
     strategy_id = STRATEGIES.index(strategy)
     regrets = []
     elapsed = []
@@ -278,6 +278,12 @@ def _run_cell(payload):
 
 def run_sweep(config: ExperimentConfig) -> RegretReport:
     config = config.validated()
+    text = os.environ.get("CAUSALBANDIT_WORKERS", "1")
+    try:
+        workers = int(text)
+    except ValueError:
+        raise ParameterError(
+            f"CAUSALBANDIT_WORKERS expects an integer, got {text!r}") from None
     label, dag, targets = load_structure(config)
     arms = {}
     for budget in config.budgets:
@@ -289,8 +295,9 @@ def run_sweep(config: ExperimentConfig) -> RegretReport:
                 for budget in config.budgets
                 for multiplier in config.multipliers
                 for strategy in config.strategies]
-    workers = int(os.environ.get("CAUSALBANDIT_WORKERS", "1"))
-    if workers > 1 and len(payloads) > 1:
+    # the pool starts every worker up front, so never more than there are cells
+    workers = min(workers, len(payloads))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, payloads))
     else:

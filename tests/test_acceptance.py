@@ -240,8 +240,7 @@ def test_criterion_6_estimation_consistency():
     for run in range(10):
         env = SimulatedEnvironment(inst, 1000 + run, max_experiments=horizon)
         p1 = run_phase1(env, inst.dag, inst.arms, trunc_scale, horizon)
-        p2 = run_phase2(env, p1, horizon, "paper",
-                        np.random.default_rng(2000 + run))
+        p2 = run_phase2(env, p1, "paper", np.random.default_rng(2000 + run))
         run_alpha = 0.0
         for n in p1.uncertain_nodes:
             keep = ~p1.truncation.dropped_rows(n)

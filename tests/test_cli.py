@@ -1,10 +1,12 @@
 """Command-line interface: subcommand output, exit codes, file handling."""
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import causalbandit
 from causalbandit.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -145,9 +147,18 @@ def test_run_fix_alpha_flag_changes_report(capsys):
             "--set", "strategies=uniform"]
     code, varying, _ = run_cli(argv, capsys)
     assert code == 0
-    code, fixed, _ = run_cli(argv + ["--fix-alpha"], capsys)
+    code, fixed, _ = run_cli(argv + ["--set", "fix_alpha=true"], capsys)
     assert code == 0
     assert varying != fixed
+
+
+def test_run_rejects_non_integer_worker_count(capsys, monkeypatch):
+    monkeypatch.setenv("CAUSALBANDIT_WORKERS", "two")
+    code, out, err = run_cli(["run", "--set", "tree_height=2", "--set", "budgets=1",
+                              "--set", "strategies=uniform"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: CAUSALBANDIT_WORKERS expects an integer, got 'two'\n"
 
 
 def test_run_reports_failed_cells_on_stderr(capsys):
@@ -177,9 +188,12 @@ def test_unknown_subcommand_exits_one():
 
 
 def test_module_entry_point_runs_in_subprocess():
+    # the child imports the same package as this process, installed or not
+    package_root = pathlib.Path(causalbandit.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-m", "causalbandit.cli", "gen", "--tree-height", "2",
          "--budgets", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)})
     assert proc.returncode == 0
     assert "N=7" in proc.stdout

@@ -7,10 +7,8 @@ from causalbandit.inference import (
     _sweep,
     brute_force_parent_probability,
     brute_force_target_probability,
-    exact_target_probability,
     parent_probabilities,
     parent_probability,
-    sample,
     sample_batch,
     target_probabilities,
     target_probability,
@@ -34,7 +32,8 @@ def test_sample_all_intervened_is_deterministic():
     inst = random_instance(rng, 5, 1)
     arm = Intervention((1, 0, 1, 1, 0))
     for _ in range(5):
-        assert np.array_equal(sample(inst, arm, rng), [1, 0, 1, 1, 0])
+        out = sample_batch(inst.table, inst.dag, arm.values, 1, rng)
+        assert np.array_equal(out[0], [1, 0, 1, 1, 0])
 
 
 def test_sample_degenerate_row_always_one():
@@ -50,7 +49,7 @@ def test_sample_matches_exact_frequency_and_clamps():
     rng = np.random.default_rng(123)
     inst = random_instance(rng, 5, 1, free_prob=0.7)
     arm = inst.arms[0]
-    mu = exact_target_probability(inst, arm)
+    mu = target_probability(inst.table, inst.dag, arm)
     n = 100000
     out = sample_batch(inst.table, inst.dag, arm.values, n, rng)
     for node, v in enumerate(arm.values):
@@ -67,8 +66,8 @@ def test_target_prob_intervened_target():
     n = inst.dag.node_count
     one = Intervention((FREE,) * (n - 1) + (1,))
     zero = Intervention((FREE,) * (n - 1) + (0,))
-    assert exact_target_probability(inst, one) == pytest.approx(1.0, abs=1e-12)
-    assert exact_target_probability(inst, zero) == pytest.approx(0.0, abs=1e-12)
+    assert target_probability(inst.table, inst.dag, one) == pytest.approx(1.0, abs=1e-12)
+    assert target_probability(inst.table, inst.dag, zero) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_target_prob_two_node_chain_hand_value():
@@ -137,7 +136,7 @@ def test_sweep_matches_brute_force_target():
         inst = random_instance(rng, n, 4, max_parents=4)
         for arm in inst.arms:
             want = brute_force_target_probability(inst.table, inst.dag, arm)
-            got = exact_target_probability(inst, arm)
+            got = target_probability(inst.table, inst.dag, arm)
             assert abs(got - want) <= 1e-12
 
 
@@ -184,7 +183,7 @@ def test_truncation_monotonicity():
         trunc = ConditionalTable(tuple(rows))
         for arm in inst.arms:
             assert (target_probability(trunc, inst.dag, arm)
-                    <= exact_target_probability(inst, arm) + 1e-12)
+                    <= target_probability(inst.table, inst.dag, arm) + 1e-12)
             m = int(rng.integers(1, n))
             pi = ParentRealization.from_index(
                 inst.dag.parents[m], int(rng.integers(0, inst.dag.row_count(m))))
@@ -206,7 +205,7 @@ def test_environment_ledger_and_budget():
     rng = np.random.default_rng(10)
     inst = random_instance(rng, 5, 2)
     env = SimulatedEnvironment(inst, rng, max_experiments=10)
-    env.intervene(inst.arms[0])
+    env.intervene_many(inst.arms[0], 1)
     env.intervene_many(inst.arms[1], 7)
     assert env.experiments_used == 8
     with pytest.raises(BudgetError):

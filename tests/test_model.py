@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from causalbandit.errors import ParameterError, ScopeError
+from causalbandit.errors import ParameterError
 from causalbandit.inference import target_probability
 from causalbandit.model import (
     FREE,
@@ -53,25 +53,6 @@ def test_validate_flags_complement_sum():
 
 def test_validate_flags_tiny_graph():
     assert not validate(CausalDag(((), (0,)))).ok
-
-
-def test_restrict_positional_copy():
-    pi = ParentRealization((1, 2, 4), (1, 0, 1))
-    sub = pi.restrict((1, 4))
-    assert sub.scope == (1, 4)
-    assert sub.bits == (1, 1)
-
-
-def test_restrict_identity_and_empty():
-    pi = ParentRealization((1, 2, 4), (1, 0, 1))
-    assert pi.restrict((1, 2, 4)) == pi
-    assert pi.restrict(()) == ParentRealization((), ())
-
-
-def test_restrict_outside_scope_raises():
-    pi = ParentRealization((1, 2), (1, 0))
-    with pytest.raises(ScopeError):
-        pi.restrict((3,))
 
 
 def test_realization_index_roundtrip():

@@ -14,7 +14,7 @@ from causalbandit.model import (
     enumerate_budget_interventions,
     random_conditional_table,
 )
-from causalbandit.phase1 import rate_estimate, run_phase1, truncation_threshold
+from causalbandit.phase1 import rate_estimates, run_phase1, truncation_threshold
 
 from conftest import random_instance
 
@@ -32,10 +32,12 @@ def copy_chain_instance():
 
 
 def test_rate_estimate_values():
-    assert rate_estimate(0, 0, 0) == 0.0
-    assert rate_estimate(0, 0, 1) == 0.0
-    assert rate_estimate(4, 3, 1) == pytest.approx(0.75)
-    assert rate_estimate(4, 3, 0) == pytest.approx(0.25)
+    rates = rate_estimates(np.array([0, 4]), np.array([0, 3]))
+    assert rates.shape == (2, 2)
+    assert rates[0, 0] == 0.0
+    assert rates[0, 1] == 0.0
+    assert rates[1, 1] == pytest.approx(0.75)
+    assert rates[1, 0] == pytest.approx(0.25)
 
 
 def test_threshold_formula():
@@ -104,6 +106,31 @@ def test_huge_scale_truncates_everything():
         assert res.truncation.rare[n].all()
         assert np.all(res.trimmed.rows[n] == 0.0)
         assert res.truncation.dropped_rows(n).all()
+
+
+@pytest.mark.parametrize("max_parents,trunc_scale", [(3, 1e-3), (1, 1e-2)])
+def test_partial_truncation_matches_scalar_verdicts(max_parents, trunc_scale):
+    """At these scales some entries are truncated and some are kept; every
+    verdict is recomputed here, one entry at a time, from the counts. With at
+    most one parent every node has 2 rows or fewer, so a (rows, 2) array
+    broadcast the wrong way round gives wrong verdicts instead of an error."""
+    rng = np.random.default_rng(10)
+    inst = random_instance(rng, n_nodes=6, n_arms=4, max_parents=max_parents)
+    env = SimulatedEnvironment(inst, 1)
+    res = run_phase1(env, inst.dag, inst.arms, trunc_scale,
+                     3 * inst.uncertain_rows * 200)
+    cut = 2.0 * math.e * res.threshold
+    verdicts = []
+    for n in res.uncertain_nodes:
+        for row in range(inst.dag.row_count(n)):
+            t, t1 = int(res.seen[n][row]), int(res.seen_one[n][row])
+            rate_one = t1 / t if t else 0.0
+            for value, est in ((0, 1.0 - rate_one if t else 0.0), (1, rate_one)):
+                drop = est * float(res.best_value[n][row]) <= cut
+                assert res.truncation.unreliable[n][row, value] == drop
+                assert (res.trimmed.rows[n][row, value] == 0.0) == drop
+                verdicts.append(drop)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_counts_bounded_by_batch_size():

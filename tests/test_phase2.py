@@ -43,8 +43,8 @@ def prepared(rng_seed, n_nodes=5, n_arms=3, batch=20, trunc_scale=0.0):
 def test_experiment_ledger(mode):
     inst, p1, horizon = prepared(10)
     env = SimulatedEnvironment(inst, 99)
-    res = run_phase2(env, p1, horizon, mode, rng=5)
-    expect = inst.uncertain_rows * res.per_pair + horizon // 3
+    res = run_phase2(env, p1, mode, rng=5)
+    expect = inst.uncertain_rows * p1.per_pair + horizon // 3
     assert env.experiments_used == expect
     assert res.draws == horizon // 3
 
@@ -53,7 +53,7 @@ def test_mode_validation():
     inst, p1, horizon = prepared(11)
     env = SimulatedEnvironment(inst, 0)
     with pytest.raises(ParameterError):
-        run_phase2(env, p1, horizon, "fast", rng=0)
+        run_phase2(env, p1, "fast", rng=0)
 
 
 def test_practical_requires_shared_counts():
@@ -61,13 +61,13 @@ def test_practical_requires_shared_counts():
     env = SimulatedEnvironment(inst, 0)
     p1 = run_phase1(env, inst.dag, inst.arms, 0.0, 150, record_shared=False)
     with pytest.raises(ParameterError):
-        run_phase2(SimulatedEnvironment(inst, 1), p1, 150, "practical", rng=0)
+        run_phase2(SimulatedEnvironment(inst, 1), p1, "practical", rng=0)
 
 
 def test_counts_and_estimates_are_consistent():
     inst, p1, horizon = prepared(12)
     env = SimulatedEnvironment(inst, 7)
-    res = run_phase2(env, p1, horizon, "paper", rng=3)
+    res = run_phase2(env, p1, "paper", rng=3)
     for n in p1.uncertain_nodes:
         assert np.all(res.seen_one[n] <= res.seen[n])
         assert np.all(res.estimate.rows[n] >= 0.0)
@@ -77,7 +77,7 @@ def test_counts_and_estimates_are_consistent():
 def test_dropped_entries_stay_zero():
     inst, p1, horizon = prepared(13, trunc_scale=1e9)
     env = SimulatedEnvironment(inst, 7)
-    res = run_phase2(env, p1, horizon, "paper", rng=3)
+    res = run_phase2(env, p1, "paper", rng=3)
     for n in p1.uncertain_nodes:
         assert np.all(res.estimate.rows[n] == 0.0)
         # samples were still collected, only the readout is suppressed
@@ -90,8 +90,8 @@ def test_single_free_arm_shares_every_sample():
     env = SimulatedEnvironment(inst, 2)
     p1 = run_phase1(env, inst.dag, inst.arms, 0.0, horizon)
     env2 = SimulatedEnvironment(inst, 3)
-    res = run_phase2(env2, p1, horizon, "paper", rng=4)
-    total = inst.uncertain_rows * res.per_pair + res.draws
+    res = run_phase2(env2, p1, "paper", rng=4)
+    total = inst.uncertain_rows * p1.per_pair + res.draws
     for n in p1.uncertain_nodes:
         assert res.seen[n].sum() == total
 
@@ -99,7 +99,7 @@ def test_single_free_arm_shares_every_sample():
 def test_practical_merges_phase1_counts():
     inst, p1, horizon = prepared(14)
     env = SimulatedEnvironment(inst, 8)
-    res = run_phase2(env, p1, horizon, "practical", rng=9)
+    res = run_phase2(env, p1, "practical", rng=9)
     for n in p1.uncertain_nodes:
         assert np.all(res.seen[n] >= p1.shared_seen[n])
         assert np.all(res.seen_one[n] >= p1.shared_seen_one[n])
@@ -107,16 +107,16 @@ def test_practical_merges_phase1_counts():
 
 def test_practical_mode_skips_solver():
     inst, p1, horizon = prepared(15)
-    res = run_phase2(SimulatedEnvironment(inst, 1), p1, horizon, "practical", rng=2)
+    res = run_phase2(SimulatedEnvironment(inst, 1), p1, "practical", rng=2)
     assert res.solver is None
-    res2 = run_phase2(SimulatedEnvironment(inst, 1), p1, horizon, "paper", rng=2)
+    res2 = run_phase2(SimulatedEnvironment(inst, 1), p1, "paper", rng=2)
     assert res2.solver is not None
 
 
 def test_weights_on_simplex():
     inst, p1, horizon = prepared(16)
     for mode in ("paper", "practical"):
-        res = run_phase2(SimulatedEnvironment(inst, 4), p1, horizon, mode, rng=6)
+        res = run_phase2(SimulatedEnvironment(inst, 4), p1, mode, rng=6)
         assert np.all(res.weights >= 0.0)
         assert res.weights.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -171,8 +171,8 @@ def test_truncated_pairs_leave_objective():
 @pytest.mark.parametrize("mode", ["paper", "practical"])
 def test_determinism(mode):
     inst, p1, horizon = prepared(21)
-    a = run_phase2(SimulatedEnvironment(inst, 5), p1, horizon, mode, rng=11)
-    b = run_phase2(SimulatedEnvironment(inst, 5), p1, horizon, mode, rng=11)
+    a = run_phase2(SimulatedEnvironment(inst, 5), p1, mode, rng=11)
+    b = run_phase2(SimulatedEnvironment(inst, 5), p1, mode, rng=11)
     assert np.array_equal(a.weights, b.weights)
     for n in p1.uncertain_nodes:
         assert np.array_equal(a.seen[n], b.seen[n])

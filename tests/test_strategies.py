@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from causalbandit.errors import ParameterError
-from causalbandit.inference import SimulatedEnvironment, exact_target_probabilities
+from causalbandit.inference import SimulatedEnvironment, target_probabilities
 from causalbandit.model import (
     FREE,
     CausalDag,
@@ -155,7 +155,7 @@ def test_rejects_validation():
 
 def test_simple_regret_values():
     inst = two_arm_chain()
-    mus = exact_target_probabilities(inst)
+    mus = target_probabilities(inst.table, inst.dag, inst.arms)
     assert np.allclose(mus, [1.0, 0.0])
     assert simple_regret(inst, inst.arms[0]) == pytest.approx(0.0)
     assert simple_regret(inst, inst.arms[1]) == pytest.approx(1.0)

@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from causalbandit import sweep
 from causalbandit.errors import ParameterError
 from causalbandit.model import CausalDag, ConditionalTable, Instance, InterventionSet
 from causalbandit.sweep import (
@@ -141,6 +142,34 @@ def test_worker_pool_matches_serial(monkeypatch):
     monkeypatch.setenv("CAUSALBANDIT_WORKERS", "3")
     pooled = run_sweep(config).to_csv()
     assert pooled == serial
+
+
+def test_worker_pool_is_never_larger_than_the_cell_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records the pool size it is asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    config = ExperimentConfig(tree_height=2, budgets=(1,), multipliers=(3,),
+                              trials=1, seed=3,
+                              strategies=("uniform", "successive-rejects"))
+    serial = run_sweep(config).to_csv()
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setenv("CAUSALBANDIT_WORKERS", "64")
+    assert run_sweep(config).to_csv() == serial
+    assert sizes == [2]
 
 
 def test_worker_pool_matches_serial_on_network_files(monkeypatch):
