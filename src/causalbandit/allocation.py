@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import IllPosedObjectiveError, ParameterError
 from .inference import parent_probabilities
-from .model import Instance
+from .model import FREE, Instance
 
 NUMERATOR_CUTOFF = 1e-15
 STEP_SCALE = 1.0  # exponentiated-gradient step size STEP_SCALE / sqrt(iteration)
@@ -147,7 +147,7 @@ def build_exact_objective(instance: Instance) -> tuple[RatioObjective, np.ndarra
     count), which pins the upper end of the achievable range.
     """
     dag, arms = instance.dag, instance.arms
-    free = arms.matrix.T == -1  # (nodes, arms)
+    free = arms.matrix.T == FREE  # (nodes, arms)
     rows = []
     masks = []
     votes = np.zeros(len(arms))

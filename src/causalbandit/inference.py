@@ -24,8 +24,10 @@ is the same whatever the chunking, so results do not depend on it.
 `CapacityError` is raised, before any state is built, only when the frontier
 of a single arm would be wider than FRONTIER_LIMIT.
 
-Sampling has one entry point, `sample_batch`. Strategies reach it only through
-an `Environment`, whose `intervene_many` also charges the experiment ledger.
+Sampling has one entry point, `sample_batch`. It reads each node's parent row
+off `CausalDag.row_keys`, the packing that `phase1.fold_counts` counts with.
+Strategies reach it only through an `Environment`, whose `intervene_many` also
+charges the experiment ledger.
 """
 from __future__ import annotations
 
@@ -324,14 +326,15 @@ def sample_batch(table: ConditionalTable, dag: CausalDag, arm_values, count: int
     """Draw `count` realizations under one intervention, topological order."""
     rng = as_rng(rng)
     values = np.asarray(arm_values, dtype=np.int8)
-    out = np.empty((count, dag.node_count), dtype=np.uint8)
+    keys = dag.row_keys.astype(np.float64)  # exact, and the products run in BLAS
+    out = np.empty((dag.node_count, count))  # node-major while drawing
     for n in range(dag.node_count):
         if values[n] != FREE:
-            out[:, n] = values[n]
+            out[n] = values[n]
         else:
-            idx = dag.parent_indices(n, out)
-            out[:, n] = rng.random(count) < table.rows[n][idx, 1]
-    return out
+            idx = (keys[:n, n] @ out[:n]).astype(np.int64)  # parents precede n
+            out[n] = rng.random(count) < table.rows[n][idx, 1]
+    return out.T.astype(np.uint8, order="C")
 
 
 class Environment:

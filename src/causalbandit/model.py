@@ -49,21 +49,32 @@ class CausalDag:
         """Number of parent realizations of node n."""
         return 1 << len(self.parents[n])
 
+    @cached_property
+    def row_keys(self) -> np.ndarray:
+        """(N, N) int64 packing matrix: column n holds `pack_weights` at n's
+        parents, so `omega @ row_keys` gives every node's parent row per draw."""
+        keys = np.zeros((self.node_count, self.node_count), dtype=np.int64)
+        for n, ps in enumerate(self.parents):
+            keys[list(ps), n] = pack_weights(len(ps))
+        return keys
+
+    @cached_property
+    def row_offsets(self) -> np.ndarray:
+        """N + 1 starts of each node's block in the flat (total rows, 2) count space."""
+        return np.cumsum([0] + [self.row_count(n) for n in range(self.node_count)])
+
     @property
     def total_rows(self) -> int:
         """Conditional-table rows summed over every node."""
-        return sum(self.row_count(n) for n in range(self.node_count))
+        return int(self.row_offsets[-1])
+
+    def split_rows(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Per-node views of an array laid out in the flat count space."""
+        return tuple(np.split(flat, self.row_offsets[1:-1]))
 
     @cached_property
     def roots(self) -> tuple[int, ...]:
         return tuple(n for n, ps in enumerate(self.parents) if not ps)
-
-    def parent_indices(self, n: int, omega: np.ndarray) -> np.ndarray:
-        """Row indices of node n's parent realization for each row of omega (m, N)."""
-        ps = self.parents[n]
-        if not ps:
-            return np.zeros(omega.shape[0], dtype=np.int64)
-        return omega[:, ps].astype(np.int64) @ pack_weights(len(ps))
 
 
 @dataclass(frozen=True)
@@ -94,7 +105,6 @@ class ParentRealization:
         for b in self.bits:
             idx = (idx << 1) | b
         return idx
-
 
 
 @dataclass(frozen=True)
@@ -198,6 +208,11 @@ class InterventionSet:
         """Per node: is it left free by at least one intervention."""
         return np.any(self.matrix == FREE, axis=0)
 
+    @cached_property
+    def uncertain_nodes(self) -> tuple[int, ...]:
+        """Nodes left free by at least one arm; only their rows ever need estimating."""
+        return tuple(int(n) for n in np.flatnonzero(self.ever_free))
+
 
 @dataclass(frozen=True)
 class Instance:
@@ -207,10 +222,9 @@ class Instance:
     table: ConditionalTable
     arms: InterventionSet
 
-    @cached_property
+    @property
     def uncertain_nodes(self) -> tuple[int, ...]:
-        """Nodes left free by at least one arm; only their rows ever need estimating."""
-        return tuple(int(n) for n in np.flatnonzero(self.arms.ever_free))
+        return self.arms.uncertain_nodes
 
     @property
     def uncertain_rows(self) -> int:
@@ -220,8 +234,8 @@ class Instance:
 
 def uncertain_rows(dag: CausalDag, arms: InterventionSet) -> int:
     """The budget unit C, in which horizons and the per-pair batch are set:
-    conditional rows of the nodes that at least one arm leaves free."""
-    return sum(dag.row_count(int(n)) for n in np.flatnonzero(arms.ever_free))
+    conditional rows of the arms' `uncertain_nodes`."""
+    return sum(dag.row_count(n) for n in arms.uncertain_nodes)
 
 
 @dataclass

@@ -6,12 +6,16 @@ This is the one place the horizon T is split: each of the C uncertain pairs
 batch and T from the result. Pairs are visited in node order, so every
 upstream estimate is final before it feeds a downstream node's reachability
 scores. For each pair the arm most likely to produce the wanted parent
-pattern is pulled for the whole batch, and `rate_estimates`, the rule both
-phases use, reads the rates off the matching samples. Rates whose
-(rate x reachability) product falls under the truncation threshold are marked
-unreliable and zeroed in the returned table; pairs whose best reachability
-itself is tiny are marked rare and only excluded later, at final-estimate
-time.
+pattern is pulled for the whole batch. `fold_counts`, the one count-folding
+kernel of both phases, turns the batch into (node, parent row, value) counts
+of the nodes that arm leaves free: the pair keeps its own row, so a draw
+whose arm clamps the pair's node counts for nothing, and every batch's fold
+is summed into the shared counts that practical-mode phase 2 starts from.
+`rate_estimates`, the rule both phases use, reads the rates off the counts.
+Rates whose (rate x reachability) product falls under the truncation
+threshold are marked unreliable and zeroed in the returned table; pairs whose
+best reachability itself is tiny are marked rare and only excluded later, at
+final-estimate time.
 """
 from __future__ import annotations
 
@@ -69,15 +73,12 @@ class TruncationSets:
         return int(sum(m.sum() for m in self.rare))
 
 
-def accumulate_counts(dag: CausalDag, uncertain_nodes, arm_row, omega,
-                      seen, seen_one) -> None:
-    """Fold a sample batch into per-row counts for every free uncertain node."""
-    for m in uncertain_nodes:
-        if arm_row[m] != FREE:
-            continue
-        idx = dag.parent_indices(m, omega)
-        seen[m] += np.bincount(idx, minlength=seen[m].shape[0])
-        seen_one[m] += np.bincount(idx[omega[:, m] == 1], minlength=seen[m].shape[0])
+def fold_counts(dag: CausalDag, arm_values, omega: np.ndarray) -> np.ndarray:
+    """Counts of a batch drawn under one arm, flat shape (total rows, 2) indexed
+    [`dag.row_offsets[n]` + parent row, value]; nodes the arm clamps get none."""
+    free = np.flatnonzero(np.asarray(arm_values) == FREE)
+    keys = 2 * (omega @ dag.row_keys[:, free] + dag.row_offsets[free]) + omega[:, free]
+    return np.bincount(keys.ravel(), minlength=2 * dag.total_rows).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -90,8 +91,7 @@ class Phase1Result:
     seen_one: tuple[np.ndarray, ...]
     best_arm: tuple[np.ndarray, ...]
     best_value: tuple[np.ndarray, ...]
-    shared_seen: tuple[np.ndarray, ...] | None
-    shared_seen_one: tuple[np.ndarray, ...] | None
+    shared: np.ndarray  # the folds of every batch summed, laid out as `fold_counts`'
     trunc_scale: float
     horizon: int
     per_pair: int
@@ -101,12 +101,11 @@ class Phase1Result:
 
 
 def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
-               trunc_scale: float, horizon: int,
-               record_shared: bool = True) -> Phase1Result:
+               trunc_scale: float, horizon: int) -> Phase1Result:
     """Scan every uncertain pair once; trunc_scale zero disables truncation."""
     if trunc_scale < 0:
         raise ParameterError("trunc_scale must be nonnegative")
-    uncertain = tuple(n for n in range(dag.node_count) if bool(arms.ever_free[n]))
+    uncertain = arms.uncertain_nodes
     total_rows = uncertain_rows(dag, arms)
     if total_rows == 0:
         raise ParameterError("no arm leaves any node free")
@@ -121,12 +120,10 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
     working = [np.zeros((r, 2)) for r in rows]
     unreliable = [np.zeros((r, 2), dtype=bool) for r in rows]
     rare = [np.zeros((r, 2), dtype=bool) for r in rows]
-    seen = [np.zeros(r, dtype=np.int64) for r in rows]
-    seen_one = [np.zeros(r, dtype=np.int64) for r in rows]
+    own = np.zeros((dag.total_rows, 2), dtype=np.int64)  # each pair's row of its own batch
+    shared = np.zeros_like(own)
     best_arm = [np.full(r, -1, dtype=np.int64) for r in rows]
     best_value = [np.zeros(r) for r in rows]
-    shared_seen = [np.zeros(r, dtype=np.int64) for r in rows] if record_shared else None
-    shared_seen_one = [np.zeros(r, dtype=np.int64) for r in rows] if record_shared else None
 
     matrix = arms.matrix
     for n in uncertain:
@@ -134,15 +131,12 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
         reach = parent_probabilities(ConditionalTable(tuple(working)), dag, n, arms)
         best_arm[n] = np.argmax(reach, axis=0)
         best_value[n] = reach[best_arm[n], np.arange(rows[n])]
+        lo, hi = dag.row_offsets[n], dag.row_offsets[n + 1]
         for row_idx, arm_idx in enumerate(best_arm[n]):
-            omega = env.intervene_many(matrix[arm_idx], per_pair)
-            match = dag.parent_indices(n, omega) == row_idx
-            seen[n][row_idx] = match.sum()
-            seen_one[n][row_idx] = (match & (omega[:, n] == 1)).sum()
-            if record_shared:
-                accumulate_counts(dag, uncertain, matrix[arm_idx], omega,
-                                  shared_seen, shared_seen_one)
-        est = rate_estimates(seen[n], seen_one[n])
+            fold = fold_counts(dag, matrix[arm_idx], env.intervene_many(matrix[arm_idx], per_pair))
+            shared += fold
+            own[lo + row_idx] = fold[lo + row_idx]
+        est = rate_estimates(own[lo:hi].sum(axis=1), own[lo:hi, 1])
         if trunc_scale > 0:
             unreliable[n] = est * best_value[n][:, None] <= 2.0 * math.e * threshold
         working[n] = np.where(unreliable[n], 0.0, est)
@@ -157,12 +151,11 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
         arms=arms,
         trimmed=ConditionalTable(tuple(working)),
         truncation=TruncationSets(tuple(unreliable), tuple(rare)),
-        seen=tuple(seen),
-        seen_one=tuple(seen_one),
+        seen=dag.split_rows(own.sum(axis=1)),
+        seen_one=dag.split_rows(own[:, 1]),
         best_arm=tuple(best_arm),
         best_value=tuple(best_value),
-        shared_seen=tuple(shared_seen) if record_shared else None,
-        shared_seen_one=tuple(shared_seen_one) if record_shared else None,
+        shared=shared,
         trunc_scale=trunc_scale,
         horizon=horizon,
         per_pair=per_pair,

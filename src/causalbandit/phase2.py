@@ -1,13 +1,14 @@
 """Second estimation phase: shared-count refinement of the phase-1 estimates.
 
 The horizon, the per-pair batch and C are read from the phase-1 result. Part
-one replays each pair's recorded best arm for one batch, but every free
-uncertain node of the applied arm absorbs counts from every sample. Part two
-spends a third of the horizon on arms drawn from a weight vector: either the
-minimizer of the phase-1 allocation objective ("paper") or the share of pairs
-that voted for each arm ("practical"). Practical mode additionally folds the
-shared counts recorded during phase 1 into the totals. Final rates follow
-`phase1.rate_estimates` and are zeroed wherever phase 1 dropped the entry.
+one replays each pair's recorded best arm for one batch. Part two spends a
+third of the horizon on arms drawn from a weight vector: either the minimizer
+of the phase-1 allocation objective ("paper") or the share of pairs that
+voted for each arm ("practical"). Every batch of both parts is folded by
+`phase1.fold_counts`, so every node the applied arm leaves free absorbs counts
+from every sample. Practical mode starts from phase 1's shared counts, paper
+mode from zero. Final rates follow `phase1.rate_estimates` and are zeroed
+wherever phase 1 dropped the entry.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from .allocation import (MinimizeResult, RatioObjective, SolverConfig, minimize)
 from .errors import InternalConsistencyError, ParameterError
 from .inference import Environment, parent_probabilities
 from .model import FREE, ConditionalTable, as_rng
-from .phase1 import Phase1Result, accumulate_counts, rate_estimates
+from .phase1 import Phase1Result, fold_counts, rate_estimates
 
 WEIGHT_CLIP = 1e-12
 
@@ -75,20 +76,8 @@ def run_phase2(env: Environment, phase1: Phase1Result, mode: str, rng,
     """Spend the last two thirds of phase 1's horizon; return the final estimate."""
     if mode not in ("paper", "practical"):
         raise ParameterError(f"mode must be 'paper' or 'practical', got {mode!r}")
-    if mode == "practical" and phase1.shared_seen is None:
-        raise ParameterError("practical mode needs phase-1 shared counts")
     dag, arms = phase1.dag, phase1.arms
-    uncertain = phase1.uncertain_nodes
     rng = as_rng(rng)
-
-    seen = [np.zeros(dag.row_count(n), dtype=np.int64) for n in range(dag.node_count)]
-    seen_one = [np.zeros(dag.row_count(n), dtype=np.int64) for n in range(dag.node_count)]
-
-    matrix = arms.matrix
-    for n in uncertain:
-        for arm_idx in phase1.best_arm[n]:
-            omega = env.intervene_many(matrix[arm_idx], phase1.per_pair)
-            accumulate_counts(dag, uncertain, matrix[arm_idx], omega, seen, seen_one)
 
     solver = None
     if mode == "paper":
@@ -102,26 +91,22 @@ def run_phase2(env: Environment, phase1: Phase1Result, mode: str, rng,
 
     draws = phase1.horizon // 3
     picks = np.searchsorted(np.cumsum(weights), rng.random(draws), side="right")
-    picks = np.clip(picks, 0, len(arms) - 1)
-    pick_counts = np.bincount(picks, minlength=len(arms))
-    for arm_idx in np.flatnonzero(pick_counts):
-        omega = env.intervene_many(matrix[arm_idx], int(pick_counts[arm_idx]))
-        accumulate_counts(dag, uncertain, matrix[arm_idx], omega, seen, seen_one)
+    pick_counts = np.bincount(np.clip(picks, 0, len(arms) - 1), minlength=len(arms))
+    batches = [(arm_idx, phase1.per_pair)
+               for n in phase1.uncertain_nodes for arm_idx in phase1.best_arm[n]]
+    batches += [(arm_idx, int(pick_counts[arm_idx])) for arm_idx in np.flatnonzero(pick_counts)]
+    counts = phase1.shared.copy() if mode == "practical" else np.zeros_like(phase1.shared)
+    for arm_idx, count in batches:
+        arm = arms.matrix[arm_idx]
+        counts += fold_counts(dag, arm, env.intervene_many(arm, count))
 
-    if mode == "practical":
-        for n in uncertain:
-            seen[n] += phase1.shared_seen[n]
-            seen_one[n] += phase1.shared_seen_one[n]
-
-    final = [np.zeros((dag.row_count(n), 2)) for n in range(dag.node_count)]
-    for n in uncertain:
-        final[n] = np.where(phase1.truncation.dropped(n), 0.0,
-                            rate_estimates(seen[n], seen_one[n]))
-
+    seen = counts.sum(axis=1)
+    rates = dag.split_rows(rate_estimates(seen, counts[:, 1]))  # zero on nodes no arm frees
     return Phase2Result(
-        estimate=ConditionalTable(tuple(final)),
-        seen=tuple(seen),
-        seen_one=tuple(seen_one),
+        estimate=ConditionalTable(tuple(np.where(phase1.truncation.dropped(n), 0.0, r)
+                                        for n, r in enumerate(rates))),
+        seen=dag.split_rows(seen),
+        seen_one=dag.split_rows(counts[:, 1]),
         weights=weights,
         mode=mode,
         draws=draws,

@@ -45,8 +45,7 @@ def run_causal_bandit(env: Environment, dag: CausalDag, arms: InterventionSet,
     if trunc_scale is None:
         trunc_scale = default_trunc_scale(dag, arms, mode)
     before = env.experiments_used
-    phase1 = run_phase1(env, dag, arms, trunc_scale, horizon,
-                        record_shared=(mode == "practical"))
+    phase1 = run_phase1(env, dag, arms, trunc_scale, horizon)
     phase2 = run_phase2(env, phase1, mode, rng, solver_config)
     mu_hat = target_probabilities(phase2.estimate, dag, arms)
     chosen = int(np.argmax(mu_hat))
@@ -77,13 +76,16 @@ def run_successive_rejects(env: Environment, dag: CausalDag, arms: InterventionS
                            horizon: int) -> StrategyResult:
     """Round-based elimination: each round tops every survivor up to a shared
     pull count, then retires the lowest empirical mean (lowest index on ties).
-    Rounds whose schedule entry is not yet positive pull nothing, so tiny
-    horizons degenerate to eliminating by index alone."""
+    Rounds whose schedule entry is not yet positive pull nothing; with a
+    horizon of at most one pull per arm none is, and elimination by index
+    alone leaves the last arm, returned at once."""
     k = len(arms)
     if k < 2:
         raise ParameterError("need at least two arms")
     if horizon < 1:
         raise ParameterError("horizon must be positive")
+    if horizon <= k:
+        return StrategyResult(k - 1, arms[k - 1], np.zeros(k), 0)
     log_bar = 0.5 + sum(1.0 / i for i in range(2, k + 1))
     sums = np.zeros(k)
     pulls = np.zeros(k, dtype=np.int64)

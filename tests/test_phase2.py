@@ -56,14 +56,6 @@ def test_mode_validation():
         run_phase2(env, p1, "fast", rng=0)
 
 
-def test_practical_requires_shared_counts():
-    inst = copy_chain_instance()
-    env = SimulatedEnvironment(inst, 0)
-    p1 = run_phase1(env, inst.dag, inst.arms, 0.0, 150, record_shared=False)
-    with pytest.raises(ParameterError):
-        run_phase2(SimulatedEnvironment(inst, 1), p1, "practical", rng=0)
-
-
 def test_counts_and_estimates_are_consistent():
     inst, p1, horizon = prepared(12)
     env = SimulatedEnvironment(inst, 7)
@@ -100,9 +92,10 @@ def test_practical_merges_phase1_counts():
     inst, p1, horizon = prepared(14)
     env = SimulatedEnvironment(inst, 8)
     res = run_phase2(env, p1, "practical", rng=9)
+    shared = inst.dag.split_rows(p1.shared)
     for n in p1.uncertain_nodes:
-        assert np.all(res.seen[n] >= p1.shared_seen[n])
-        assert np.all(res.seen_one[n] >= p1.shared_seen_one[n])
+        assert np.all(res.seen[n] >= shared[n].sum(axis=1))
+        assert np.all(res.seen_one[n] >= shared[n][:, 1])
 
 
 def test_practical_mode_skips_solver():

@@ -128,10 +128,13 @@ def test_rejects_two_arm_schedule():
 def test_rejects_tiny_horizon_eliminates_by_index():
     rng = np.random.default_rng(15)
     inst = random_instance(rng, n_nodes=4, n_arms=6)
-    env = SimulatedEnvironment(inst, 16)
-    res = run_successive_rejects(env, inst.dag, inst.arms, 2)
-    assert env.experiments_used == 0
-    assert res.chosen_index == len(inst.arms) - 1
+    for horizon in (2, len(inst.arms)):
+        env = SimulatedEnvironment(inst, 16)
+        res = run_successive_rejects(env, inst.dag, inst.arms, horizon)
+        assert env.experiments_used == 0
+        assert res.experiments_used == 0
+        assert res.chosen_index == len(inst.arms) - 1
+        assert np.array_equal(res.mu_hat, np.zeros(len(inst.arms)))
 
 
 @pytest.mark.parametrize("n_arms,horizon", [(2, 2), (3, 11), (7, 50), (5, 333)])
