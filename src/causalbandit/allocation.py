@@ -30,6 +30,13 @@ class SolverConfig:
     max_iters: int = 2000
     tolerance: float = 1e-4       # relative duality-gap target
 
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ParameterError(f"max_iters must be at least 1, got {self.max_iters}")
+        if not np.isfinite(self.tolerance) or self.tolerance < 0:
+            raise ParameterError(
+                f"tolerance must be finite and nonnegative, got {self.tolerance}")
+
 
 class RatioObjective:
     """Terms laid out as rows: values[i] over arms, offset[i], and a mask of

@@ -10,8 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .allocation import SolverConfig, allocation_complexity
 from .bif import parse_bif, to_causal_dag
 from .errors import (
@@ -21,7 +19,13 @@ from .errors import (
     IllPosedObjectiveError,
     ParameterError,
 )
-from .model import FREE, Instance, InterventionSet, random_conditional_table, uncertain_rows
+from .model import (
+    Instance,
+    Intervention,
+    InterventionSet,
+    random_conditional_table,
+    uncertain_rows,
+)
 from .sweep import (
     ExperimentConfig,
     build_arms,
@@ -130,20 +134,13 @@ def _parse_arm_strings(text: str, node_count: int) -> InterventionSet:
         if len(token) != node_count:
             raise ParameterError(f"arm {token!r} has {len(token)} characters, "
                                  f"instance has {node_count} nodes")
-        values = []
-        for ch in token:
-            if ch == "*":
-                values.append(FREE)
-            elif ch in "01":
-                values.append(int(ch))
-            else:
-                raise ParameterError(f"arm {token!r}: characters must be 0, 1, or *")
-        arms.append(tuple(values))
-    matrix = np.array(arms, dtype=np.int8)
-    return InterventionSet(matrix)
+        arms.append(Intervention.from_string(token))
+    return InterventionSet.from_interventions(arms)
 
 
 def _cmd_gamma(args, out) -> int:
+    if args.alpha_seed < 0:
+        raise ParameterError(f"--alpha-seed must be nonnegative, got {args.alpha_seed}")
     config = _source_config(args)
     label, dag, targets = load_structure(config)
     if args.arms:

@@ -17,12 +17,16 @@ whole prefix, so sub-stochastic (partly estimated) nodes that are not
 ancestors of n still scale it: each row of the matrix sums to the arm's prefix
 mass, and a parentless node gets one column equal to it, not 1.
 
-A sweep is planned once for the whole arm set (node order, retirements, the
-widest frontier) and then run on chunks of arms, each sized so that one state
-array holds at most max(STATE_BUDGET, 2^width) cells. Every arm's arithmetic
-is the same whatever the chunking, so results do not depend on it.
-`CapacityError` is raised, before any state is built, only when the frontier
-of a single arm would be wider than FRONTIER_LIMIT.
+A sweep is planned once for the whole arm set, and only the plan knows the
+frontier layout. It holds, for each step, the node, the source of each
+parent's bit (a frontier position, or None for a per-arm constant; None for
+all the parents of a node fixed in every arm) and the positions summed out
+after it; where each kept node is read at the end; and the widest frontier.
+`_execute` then only multiplies, splits and sums, on chunks of arms each sized
+so that one state array holds at most max(STATE_BUDGET, 2^width) cells. Every
+arm's arithmetic is the same whatever the chunking, so results do not depend
+on it. `CapacityError` is raised, before any state is built, only when the
+frontier of a single arm would be wider than FRONTIER_LIMIT.
 
 Sampling has one entry point, `sample_batch`. It reads each node's parent row
 off `CausalDag.row_keys`, the packing that `phase1.fold_counts` counts with.
@@ -123,13 +127,13 @@ def _arm_matrix(arms) -> np.ndarray:
 
 
 class _Plan(NamedTuple):
-    """What a sweep does, worked out once for the whole arm set: the node
-    order, the frontier positions summed out after each step, and the widest
-    frontier the sweep reaches."""
+    """A sweep's schedule for the whole arm set (see the module docstring).
+    Each retire entry is a position as it stands when that bit is summed out."""
 
     order: tuple[int, ...]
+    sources: tuple[tuple[int | None, ...] | None, ...]
     retire: tuple[tuple[int, ...], ...]
-    free_any: np.ndarray
+    kept: tuple[int | None, ...]
     width: int
 
 
@@ -145,17 +149,13 @@ def _plan(table: ConditionalTable, dag: CausalDag, free_any: np.ndarray,
         if free_any[m] and not table.node_is_stochastic(m):
             relevant.add(m)
     work = list(relevant)
-    closed = set()
     while work:
         m = work.pop()
-        if m in closed:
-            continue
-        closed.add(m)
         if free_any[m]:
             for p in dag.parents[m]:
                 if p not in relevant:
                     relevant.add(p)
-                work.append(p)
+                    work.append(p)
 
     order: list[int] = []
     visited = set()
@@ -171,97 +171,72 @@ def _plan(table: ConditionalTable, dag: CausalDag, free_any: np.ndarray,
         if m not in visited:
             visit(m)
 
-    pos = {m: i for i, m in enumerate(order)}
     last_read = {m: i for i, m in enumerate(order)}
-    for m in order:
+    for i, m in enumerate(order):
         if free_any[m]:
             for p in dag.parents[m]:
-                last_read[p] = max(last_read[p], pos[m])
+                last_read[p] = max(last_read[p], i)
     for m in keep:
         last_read[m] = len(order)
 
-    frontier: list[int] = []
-    retire = []
-    width = 0
+    def source(p):
+        return frontier.index(p) if p in frontier else None
+
+    frontier: list[int] = []           # frontier[j] owns state bit weight 2^j
+    sources, retire, width = [], [], 0
     for step, m in enumerate(order):
+        sources.append(tuple(map(source, dag.parents[m])) if free_any[m] else None)
         if free_any[m] and m not in evidence:
             frontier.append(m)
             width = max(width, len(frontier))
-        gone = []
-        j = 0
-        while j < len(frontier):
-            if last_read[frontier[j]] <= step:
-                gone.append(j)
-                frontier.pop(j)
-            else:
-                j += 1
-        retire.append(tuple(gone))
+        gone = [j for j, f in enumerate(frontier) if last_read[f] <= step]
+        frontier = [f for f in frontier if last_read[f] > step]
+        retire.append(tuple(j - i for i, j in enumerate(gone)))  # shifted by earlier sum-outs
     if width > FRONTIER_LIMIT:
         raise CapacityError(f"frontier width {width} exceeds limit {FRONTIER_LIMIT}")
-    return _Plan(tuple(order), tuple(retire), free_any, width)
+    return _Plan(tuple(order), tuple(sources), tuple(retire), tuple(map(source, keep)), width)
 
 
 def _execute(plan: _Plan, table: ConditionalTable, dag: CausalDag, arms: np.ndarray,
              evidence: dict[int, int], keep: tuple[int, ...]) -> np.ndarray:
     """Run the plan on one chunk of arms; see `_sweep` for the result."""
     n_arms = arms.shape[0]
-    free = arms == FREE
+    fixed = arms.astype(np.int64)  # the bits off the frontier: clamps, then evidence
+    fixed[:, list(evidence)] = list(evidence.values())
     state = np.ones((n_arms, 1))
-    frontier: list[int] = []           # frontier[j] owns state bit weight 2^j
-    det: dict[int, np.ndarray | int] = {}  # per-arm column or scalar constant
-
-    def bit_of(p, n_states):
-        if p in det:
-            d = det[p]
-            return d if np.isscalar(d) else d[:, None]
-        j = frontier.index(p)
-        return (np.arange(n_states, dtype=np.int64) >> j) & 1
-
-    for m, gone in zip(plan.order, plan.retire):
-        n_states = state.shape[1]
-        if not plan.free_any[m]:
-            # fixed in every arm: value is the arm's clamp; evidence just filters
+    for m, sources, gone in zip(plan.order, plan.sources, plan.retire):
+        clamp = arms[:, m, None]
+        if sources is None:  # fixed in every arm: evidence just filters
             if m in evidence:
-                state = state * (arms[:, m] == evidence[m]).astype(np.float64)[:, None]
-                det[m] = evidence[m]
-            else:
-                det[m] = arms[:, m].astype(np.int64)
+                state = state * (clamp == evidence[m]).astype(np.float64)
         else:
-            idx = np.int64(0)
-            for p in dag.parents[m]:
-                idx = (idx << 1) + bit_of(p, n_states)
-            idx = np.broadcast_to(idx, (1, 1)) if np.isscalar(idx) or idx.ndim == 0 else np.atleast_2d(idx)
+            cells = np.arange(state.shape[1])
+            idx = 0
+            for p, j in zip(dag.parents[m], sources):
+                idx = (idx << 1) + (fixed[:, p, None] if j is None else (cells >> j) & 1)
             rows = table.rows[m]
-            clamp = arms[:, m].astype(np.int64)[:, None]
-            fm = free[:, m][:, None]
+            fm = clamp == FREE
             if m in evidence:
                 v = evidence[m]
-                w = np.where(fm, rows[idx, v], clamp == v)
-                state = state * w
-                det[m] = v
+                state = state * np.where(fm, rows[idx, v], clamp == v)
             else:
                 w0 = np.where(fm, rows[idx, 0], clamp == 0)
                 w1 = np.where(fm, rows[idx, 1], clamp == 1)
                 state = np.concatenate([state * w0, state * w1], axis=1)
-                frontier.append(m)
-        # retire frontier bits nothing later will read
         for j in gone:
-            f = len(frontier)
-            state = state.reshape(n_arms, 1 << (f - 1 - j), 2, 1 << j).sum(axis=2)
-            state = state.reshape(n_arms, -1)
-            frontier.pop(j)
+            state = state.reshape(n_arms, -1, 2, 1 << j).sum(axis=2).reshape(n_arms, -1)
 
-    # only the kept nodes are left: on the frontier, or fixed in every arm
+    # only the kept nodes are left: on the frontier, or read off `fixed`
     k = len(keep)
     row = np.arange(1 << k)
     col = np.zeros(1 << k, dtype=np.int64)
     hit = np.ones((n_arms, 1 << k), dtype=bool)
-    for i, p in enumerate(keep):
+    for i, (p, j) in enumerate(zip(keep, plan.kept)):
         bit = (row >> (k - 1 - i)) & 1
-        if p in det:
-            hit &= det[p][:, None] == bit
+        if j is None:
+            hit &= fixed[:, p, None] == bit
         else:
-            col |= bit << frontier.index(p)
+            col |= bit << j
     return np.where(hit, state[:, col], 0.0)
 
 

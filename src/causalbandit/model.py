@@ -155,6 +155,8 @@ class Intervention:
 
     @classmethod
     def from_string(cls, text: str) -> "Intervention":
+        if set(text) - set("01*"):
+            raise ParameterError(f"arm {text!r}: characters must be 0, 1, or *")
         return cls(tuple(FREE if ch == "*" else int(ch) for ch in text))
 
     def __str__(self):

@@ -66,6 +66,20 @@ def test_gamma_enumerated_budget(capsys):
     assert float(line.split("=")[1]) > 0.0
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--max-iters", "0"], "max_iters"),
+    (["--max-iters=-3"], "max_iters"),
+    (["--alpha-seed=-1"], "--alpha-seed"),
+    (["--tolerance=-1"], "tolerance"),
+    (["--tolerance", "nan"], "tolerance"),
+])
+def test_gamma_rejects_out_of_range_flags(flags, message, capsys):
+    code, out, err = run_cli(["gamma", "--tree-height", "2", *flags], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_parse_bif_prints_structure(capsys):
     code, out, _ = run_cli(["parse-bif", str(FIXTURES / "diamond.bif")], capsys)
     assert code == 0

@@ -162,6 +162,12 @@ def test_intervention_string_roundtrip():
     assert a.fixed_count == 3
 
 
+@pytest.mark.parametrize("text", ["x*1", "*2*", "0 1"])
+def test_intervention_string_rejects_other_characters(text):
+    with pytest.raises(ParameterError, match="characters"):
+        Intervention.from_string(text)
+
+
 def test_instance_validation_of_constructors():
     for seed in range(3):
         inst = make_binary_tree_instance(2, 2, rng_seed=seed)
