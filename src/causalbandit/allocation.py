@@ -145,22 +145,30 @@ class AllocationResult:
     n_terms: int
 
 
+def vote_share(best_arms, n_arms: int) -> np.ndarray:
+    """Share of (node, parent-row) pairs whose best arm is each arm, given one
+    vector of best-arm indices per node; zero everywhere when nothing votes."""
+    votes = np.concatenate([np.zeros(0, dtype=np.int64), *best_arms])
+    return np.bincount(votes, minlength=n_arms) / max(len(votes), 1)
+
+
 def build_exact_objective(instance: Instance) -> tuple[RatioObjective, np.ndarray]:
     """Offset-free objective from the instance's true parent probabilities.
 
-    Also returns the counting-based candidate weights: each (node, parent-row)
-    pair votes for its highest-probability arm, votes normalized over all
-    uncertain rows. That point's value never exceeds (node count) x (row
-    count), which pins the upper end of the achievable range.
+    Also returns the counting-based candidate weights, the `vote_share` of
+    every pair's highest-probability arm. That point's value never exceeds
+    (node count) x (row count), which pins the upper end of the achievable
+    range.
     """
     dag, arms = instance.dag, instance.arms
     free = arms.matrix.T == FREE  # (nodes, arms)
     rows = []
     masks = []
-    votes = np.zeros(len(arms))
+    best = []
     for n in instance.uncertain_nodes:
-        for vec in parent_probabilities(instance.table, dag, n, arms).T:
-            votes[int(np.argmax(vec))] += 1
+        reach = parent_probabilities(instance.table, dag, n, arms)
+        best.append(reach.argmax(axis=0))
+        for vec in reach.T:
             keep = free[n] & (vec ** 2 >= NUMERATOR_CUTOFF)
             if keep.any():
                 rows.append(vec)
@@ -168,7 +176,7 @@ def build_exact_objective(instance: Instance) -> tuple[RatioObjective, np.ndarra
     shape = (len(rows), len(arms))  # holds when no term survives, too
     objective = RatioObjective(np.reshape(rows, shape), np.reshape(masks, shape),
                                np.zeros(len(rows)))
-    return objective, votes / max(instance.uncertain_rows, 1)
+    return objective, vote_share(best, len(arms))
 
 
 def allocation_complexity(instance: Instance,

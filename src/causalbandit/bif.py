@@ -269,22 +269,26 @@ def _parse_probability(cur: _Cursor, declared, parent_map, block_pos):
     block_pos[child] = (line, col)
 
 
-def _check_acyclic(order, parent_map, block_pos):
-    remaining = {name: set(parent_map.get(name, ())) for name in order}
-    ready = [n for n, ps in remaining.items() if not ps]
-    done = set()
+def _topological_order(names, parent_map) -> list[str]:
+    """Kahn's algorithm, ties broken by position in `names`; a variable on or
+    below a cycle never becomes ready, so it is missing from the result."""
+    position = {name: i for i, name in enumerate(names)}
+    pending = {name: set(parent_map[name]) for name in names}
+    children: dict[str, list[str]] = {name: [] for name in names}
+    for child in names:
+        for p in parent_map[child]:
+            children[p].append(child)
+    ready = [position[n] for n, ps in pending.items() if not ps]
+    heapq.heapify(ready)
+    order = []
     while ready:
-        n = ready.pop()
-        done.add(n)
-        for m, ps in remaining.items():
-            if n in ps:
-                ps.discard(n)
-                if not ps and m not in done:
-                    ready.append(m)
-    stuck = [n for n in order if n not in done]
-    if stuck:
-        line, col = block_pos.get(stuck[0], (1, 1))
-        raise BifParseError(f"cycle through variable {stuck[0]!r}", line, col)
+        n = names[heapq.heappop(ready)]
+        order.append(n)
+        for ch in children[n]:
+            pending[ch].discard(n)
+            if not pending[ch]:
+                heapq.heappush(ready, position[ch])
+    return order
 
 
 def parse_bif(text: str) -> BifNetwork:
@@ -313,10 +317,14 @@ def parse_bif(text: str) -> BifNetwork:
             _parse_probability(cur, declared, parent_map, block_pos)
         else:
             raise BifParseError(f"unknown keyword {word!r}", wline, wcol)
-    order = [v for v in declared]
-    for name in order:
+    names = tuple(declared)
+    for name in names:
         parent_map.setdefault(name, ())
-    _check_acyclic(order, parent_map, block_pos)
+    ordered = set(_topological_order(names, parent_map))
+    stuck = [n for n in names if n not in ordered]
+    if stuck:
+        line, col = block_pos.get(stuck[0], (1, 1))
+        raise BifParseError(f"cycle through variable {stuck[0]!r}", line, col)
     return BifNetwork(net_name, tuple(declared.values()), parent_map)
 
 
@@ -327,26 +335,11 @@ def to_causal_dag(net: BifNetwork) -> tuple[CausalDag, dict[str, int]]:
     in the topological order are broken by declaration order, so the result is
     stable across runs.
     """
-    decl_index = {v.name: i for i, v in enumerate(net.variables)}
-    names = net.variable_names
-    pending = {name: set(net.parent_map[name]) for name in decl_index}
-    children: dict[str, list[str]] = {name: [] for name in decl_index}
-    for child, ps in net.parent_map.items():
-        for p in ps:
-            children[p].append(child)
-    ready = [decl_index[n] for n, ps in pending.items() if not ps]
-    heapq.heapify(ready)
-    name_to_index: dict[str, int] = {}
-    while ready:
-        n = names[heapq.heappop(ready)]
-        name_to_index[n] = len(name_to_index)
-        for ch in children[n]:
-            pending[ch].discard(n)
-            if not pending[ch]:
-                heapq.heappush(ready, decl_index[ch])
-    if len(name_to_index) != len(decl_index):
+    order = _topological_order(net.variable_names, net.parent_map)
+    if len(order) != len(net.variables):
         raise InternalConsistencyError("acyclic network failed to sort")
-    parents = [() for _ in decl_index]
+    name_to_index = {name: i for i, name in enumerate(order)}
+    parents = [() for _ in order]
     for name, idx in name_to_index.items():
         parents[idx] = tuple(sorted(name_to_index[p] for p in net.parent_map[name]))
     return CausalDag(tuple(parents)), name_to_index

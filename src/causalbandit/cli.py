@@ -208,10 +208,7 @@ def main(argv=None) -> int:
         handlers = {"gen": _cmd_gen, "run": _cmd_run, "gamma": _cmd_gamma,
                     "parse-bif": _cmd_parse_bif}
         return handlers[args.command](args, sys.stdout)
-    except BifParseError as err:
-        sys.stderr.write(f"data error: {err}\n")
-        return DATA_ERROR
-    except OSError as err:
+    except (BifParseError, OSError) as err:
         sys.stderr.write(f"data error: {err}\n")
         return DATA_ERROR
     except (ParameterError, BudgetError, CapacityError,

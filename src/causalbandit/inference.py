@@ -219,10 +219,9 @@ def _execute(plan: _Plan, table: ConditionalTable, dag: CausalDag, arms: np.ndar
             if m in evidence:
                 v = evidence[m]
                 state = state * np.where(fm, rows[idx, v], clamp == v)
-            else:
-                w0 = np.where(fm, rows[idx, 0], clamp == 0)
-                w1 = np.where(fm, rows[idx, 1], clamp == 1)
-                state = np.concatenate([state * w0, state * w1], axis=1)
+            else:  # one weight array alive at a time keeps the widest step's peak down
+                state = np.concatenate([state * np.where(fm, rows[idx, v], clamp == v)
+                                        for v in (0, 1)], axis=1)
         for j in gone:
             state = state.reshape(n_arms, -1, 2, 1 << j).sum(axis=2).reshape(n_arms, -1)
 
@@ -284,13 +283,6 @@ def parent_probabilities(table: ConditionalTable, dag: CausalDag, n: int,
     m = _arm_matrix(arms)
     out = _sweep(table, dag, m, {}, n, dag.parents[n])
     return np.where((m[:, n] == FREE)[:, None], out, 0.0)
-
-
-def parent_probability(table: ConditionalTable, dag: CausalDag, n: int,
-                       pi: ParentRealization, arm: Intervention) -> float:
-    if tuple(pi.scope) != tuple(dag.parents[n]):
-        raise ParameterError(f"realization scope {pi.scope} is not the parent set of node {n}")
-    return float(parent_probabilities(table, dag, n, arm)[0, pi.index])
 
 
 # ---------------------------------------------------------------------------

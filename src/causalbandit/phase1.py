@@ -4,18 +4,20 @@ pair.
 This is the one place the horizon T is split: each of the C uncertain pairs
 (`model.uncertain_rows`) gets floor(T / 3C) samples, and phase 2 reads that
 batch and T from the result. Pairs are visited in node order, so every
-upstream estimate is final before it feeds a downstream node's reachability
-scores. For each pair the arm most likely to produce the wanted parent
-pattern is pulled for the whole batch. `fold_counts`, the one count-folding
-kernel of both phases, turns the batch into (node, parent row, value) counts
-of the nodes that arm leaves free: the pair keeps its own row, so a draw
-whose arm clamps the pair's node counts for nothing, and every batch's fold
-is summed into the shared counts that practical-mode phase 2 starts from.
-`rate_estimates`, the rule both phases use, reads the rates off the counts.
-Rates whose (rate x reachability) product falls under the truncation
-threshold are marked unreliable and zeroed in the returned table; pairs whose
-best reachability itself is tiny are marked rare and only excluded later, at
-final-estimate time.
+upstream estimate is final before it feeds a downstream node's reach: one
+parent-marginal sweep per node gives the chance that each arm produces each
+of its parent rows. That `reach` matrix is kept on the result, and phase 2's
+allocation objective reads it instead of sweeping again. For each pair the
+arm most likely to produce its parent row is pulled for the whole batch.
+`fold_counts`, the one count-folding kernel of both phases, turns the batch
+into (node, parent row, value) counts of the nodes that arm leaves free: the
+pair keeps its own row, so a draw whose arm clamps the pair's node counts for
+nothing, and every batch's fold is summed into the shared counts that
+practical-mode phase 2 starts from. `rate_estimates`, the rule both phases
+use, reads the rates off the counts. Rates whose (rate x best reach) product
+falls under the truncation threshold are marked unreliable and zeroed in the
+returned table; pairs whose best reach itself is tiny are marked rare and
+only excluded later, at final-estimate time.
 """
 from __future__ import annotations
 
@@ -89,6 +91,7 @@ class Phase1Result:
     truncation: TruncationSets
     seen: tuple[np.ndarray, ...]
     seen_one: tuple[np.ndarray, ...]
+    reach: tuple[np.ndarray, ...]  # (arms, rows) per node; zero where no arm frees it
     best_arm: tuple[np.ndarray, ...]
     best_value: tuple[np.ndarray, ...]
     shared: np.ndarray  # the folds of every batch summed, laid out as `fold_counts`'
@@ -122,15 +125,16 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
     rare = [np.zeros((r, 2), dtype=bool) for r in rows]
     own = np.zeros((dag.total_rows, 2), dtype=np.int64)  # each pair's row of its own batch
     shared = np.zeros_like(own)
+    reach = [np.zeros((len(arms), r)) for r in rows]
     best_arm = [np.full(r, -1, dtype=np.int64) for r in rows]
     best_value = [np.zeros(r) for r in rows]
 
     matrix = arms.matrix
     for n in uncertain:
         # the query reads only nodes before n, so one per node serves every row
-        reach = parent_probabilities(ConditionalTable(tuple(working)), dag, n, arms)
-        best_arm[n] = np.argmax(reach, axis=0)
-        best_value[n] = reach[best_arm[n], np.arange(rows[n])]
+        reach[n] = parent_probabilities(ConditionalTable(tuple(working)), dag, n, arms)
+        best_arm[n] = np.argmax(reach[n], axis=0)
+        best_value[n] = reach[n][best_arm[n], np.arange(rows[n])]
         lo, hi = dag.row_offsets[n], dag.row_offsets[n + 1]
         for row_idx, arm_idx in enumerate(best_arm[n]):
             fold = fold_counts(dag, matrix[arm_idx], env.intervene_many(matrix[arm_idx], per_pair))
@@ -153,6 +157,7 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
         truncation=TruncationSets(tuple(unreliable), tuple(rare)),
         seen=dag.split_rows(own.sum(axis=1)),
         seen_one=dag.split_rows(own[:, 1]),
+        reach=tuple(reach),
         best_arm=tuple(best_arm),
         best_value=tuple(best_value),
         shared=shared,

@@ -3,8 +3,9 @@
 The horizon, the per-pair batch and C are read from the phase-1 result. Part
 one replays each pair's recorded best arm for one batch. Part two spends a
 third of the horizon on arms drawn from a weight vector: either the minimizer
-of the phase-1 allocation objective ("paper") or the share of pairs that
-voted for each arm ("practical"). Every batch of both parts is folded by
+of the allocation objective built from phase 1's stored reach ("paper"; phase
+2 runs no inference of its own) or `allocation.vote_share` of phase 1's best
+arms ("practical"). Every batch of both parts is folded by
 `phase1.fold_counts`, so every node the applied arm leaves free absorbs counts
 from every sample. Practical mode starts from phase 1's shared counts, paper
 mode from zero. Final rates follow `phase1.rate_estimates` and are zeroed
@@ -16,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import (MinimizeResult, RatioObjective, SolverConfig, minimize)
-from .errors import InternalConsistencyError, ParameterError
-from .inference import Environment, parent_probabilities
+from .allocation import MinimizeResult, RatioObjective, minimize, vote_share
+from .errors import ParameterError
+# parent_probabilities is unused here; perfbench/tracer.py's TRACE_POINTS looks it up
+from .inference import Environment, parent_probabilities  # noqa: F401
 from .model import FREE, ConditionalTable, as_rng
 from .phase1 import Phase1Result, fold_counts, rate_estimates
 
@@ -26,38 +28,18 @@ WEIGHT_CLIP = 1e-12
 
 
 def build_allocation_objective(phase1: Phase1Result) -> RatioObjective:
-    """Ratio objective over the surviving pairs, offsets best-value / row count.
-
-    A pair survives when at least one of its two conditional values escaped
-    truncation. A surviving pair whose recorded best reachability is zero while
-    its recomputed probabilities are not signals a corrupted result.
-    """
-    dag, arms = phase1.dag, phase1.arms
-    free = arms.matrix.T == FREE
+    """Ratio objective over the surviving pairs, read off phase 1's reach, with
+    offsets best reach / row count. A pair survives when at least one of its
+    two conditional values escaped truncation."""
+    free = phase1.arms.matrix.T == FREE
     rows, masks, offsets = [], [], []
     for n in phase1.uncertain_nodes:
         kept = np.flatnonzero(~phase1.truncation.dropped_rows(n))
-        if not len(kept):
-            continue
-        probs = parent_probabilities(phase1.trimmed, dag, n, arms)
-        for row_idx in kept:
-            vec = probs[:, row_idx]
-            best = phase1.best_value[n][row_idx]
-            if best == 0.0 and np.max(vec) > 0.0:
-                raise InternalConsistencyError(
-                    f"pair (node {n}, row {row_idx}) kept with zero recorded "
-                    "reachability but nonzero recomputed probabilities")
-            rows.append(vec)
-            masks.append(free[n])
-            offsets.append(best / phase1.uncertain_rows)
-    shape = (len(rows), len(arms))  # holds when no pair survives, too
+        rows.extend(phase1.reach[n][:, kept].T)
+        masks.extend([free[n]] * len(kept))
+        offsets.extend(phase1.best_value[n][kept] / phase1.uncertain_rows)
+    shape = (len(rows), len(phase1.arms))  # holds when no pair survives, too
     return RatioObjective(np.reshape(rows, shape), np.reshape(masks, shape), np.array(offsets))
-
-
-def heuristic_eta(phase1: Phase1Result) -> np.ndarray:
-    """Per-arm share of pairs whose phase-1 scan picked that arm."""
-    votes = np.concatenate([phase1.best_arm[n] for n in phase1.uncertain_nodes])
-    return np.bincount(votes, minlength=len(phase1.arms)) / len(votes)
 
 
 @dataclass(frozen=True)
@@ -71,8 +53,7 @@ class Phase2Result:
     solver: MinimizeResult | None
 
 
-def run_phase2(env: Environment, phase1: Phase1Result, mode: str, rng,
-               solver_config: SolverConfig | None = None) -> Phase2Result:
+def run_phase2(env: Environment, phase1: Phase1Result, mode: str, rng) -> Phase2Result:
     """Spend the last two thirds of phase 1's horizon; return the final estimate."""
     if mode not in ("paper", "practical"):
         raise ParameterError(f"mode must be 'paper' or 'practical', got {mode!r}")
@@ -81,10 +62,10 @@ def run_phase2(env: Environment, phase1: Phase1Result, mode: str, rng,
 
     solver = None
     if mode == "paper":
-        solver = minimize(build_allocation_objective(phase1), solver_config)
+        solver = minimize(build_allocation_objective(phase1))
         weights = solver.weights.copy()
     else:
-        weights = heuristic_eta(phase1)
+        weights = vote_share([phase1.best_arm[n] for n in phase1.uncertain_nodes], len(arms))
     weights[weights < WEIGHT_CLIP] = 0.0
     total = weights.sum()
     weights = weights / total if total > 0 else np.full(len(arms), 1.0 / len(arms))

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import SolverConfig
 from .errors import ParameterError
 from .inference import Environment, target_probabilities, target_probability
 from .model import CausalDag, Instance, Intervention, InterventionSet, uncertain_rows
@@ -36,8 +35,8 @@ def default_trunc_scale(dag: CausalDag, arms: InterventionSet, mode: str) -> flo
 
 
 def run_causal_bandit(env: Environment, dag: CausalDag, arms: InterventionSet,
-                      horizon: int, mode: str, rng, trunc_scale: float | None = None,
-                      solver_config: SolverConfig | None = None) -> StrategyResult:
+                      horizon: int, mode: str, rng,
+                      trunc_scale: float | None = None) -> StrategyResult:
     """Two-phase strategy: estimate the conditional table, then pick the arm
     whose inferred reward probability is highest (lowest index on ties)."""
     if mode not in ("paper", "practical"):
@@ -46,7 +45,7 @@ def run_causal_bandit(env: Environment, dag: CausalDag, arms: InterventionSet,
         trunc_scale = default_trunc_scale(dag, arms, mode)
     before = env.experiments_used
     phase1 = run_phase1(env, dag, arms, trunc_scale, horizon)
-    phase2 = run_phase2(env, phase1, mode, rng, solver_config)
+    phase2 = run_phase2(env, phase1, mode, rng)
     mu_hat = target_probabilities(phase2.estimate, dag, arms)
     chosen = int(np.argmax(mu_hat))
     return StrategyResult(chosen, arms[chosen], mu_hat, env.experiments_used - before)

@@ -4,12 +4,13 @@ import pytest
 
 from causalbandit.bif import (
     BifNetwork,
+    BifVariable,
     format_bif,
     load_bundled,
     parse_bif,
     to_causal_dag,
 )
-from causalbandit.errors import BifParseError
+from causalbandit.errors import BifParseError, InternalConsistencyError
 from causalbandit.model import enumerate_root_interventions, validate
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -132,6 +133,42 @@ probability ( B | A ) { (a) 0.5, 0.5; (b) 0.5, 0.5; }
     with pytest.raises(BifParseError) as err:
         parse_bif(text)
     assert "cycle" in str(err.value)
+
+
+def test_cycle_reported_at_first_stuck_declared_variable():
+    # c is declared first and hangs below the a-b cycle, so it is named
+    text = """network n {
+}
+variable c {
+  type discrete [ 2 ] { x, y };
+}
+variable a {
+  type discrete [ 2 ] { x, y };
+}
+variable b {
+  type discrete [ 2 ] { x, y };
+}
+probability ( a | b ) {
+  table 0.5, 0.5, 0.5, 0.5;
+}
+probability ( b | a ) {
+  table 0.5, 0.5, 0.5, 0.5;
+}
+probability ( c | a ) {
+  table 0.5, 0.5, 0.5, 0.5;
+}
+"""
+    with pytest.raises(BifParseError) as err:
+        parse_bif(text)
+    assert str(err.value) == "cycle through variable 'c' (line 18, column 15)"
+
+
+def test_hand_built_cyclic_network_fails_to_sort():
+    states = ("x", "y")
+    net = BifNetwork("loop", (BifVariable("a", states), BifVariable("b", states)),
+                     {"a": ("b",), "b": ("a",)})
+    with pytest.raises(InternalConsistencyError):
+        to_causal_dag(net)
 
 
 def test_unbalanced_braces_reported_at_end():

@@ -6,14 +6,23 @@ solver and the seed mixing all feed them, so a change to any of these that
 moves one byte fails here. The stored text files are the standard output of
 the `gamma` and `gen` commands below: `gamma` pins the parent-row marginals
 on true, fully stochastic tables and the allocation solver that reads them.
-Replace a stored file only in a change that shows and explains the diff.
+`golden_paper_phase2.json` pins paper-mode phase 2 at truncation scales where
+pairs survive into the allocation objective (the default scale, like 1e-4,
+truncates every pair on these instances, so the CSVs never reach a solve with
+terms). Replace a stored file only in a change that shows and explains the
+diff.
 """
+import json
 import pathlib
 
 import pytest
 
 from causalbandit.cli import main
-from causalbandit.sweep import STRATEGIES, ExperimentConfig, run_sweep
+from causalbandit.inference import SimulatedEnvironment
+from causalbandit.model import Instance, random_conditional_table
+from causalbandit.phase1 import run_phase1
+from causalbandit.phase2 import run_phase2
+from causalbandit.sweep import STRATEGIES, ExperimentConfig, build_arms, load_structure, run_sweep
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -46,3 +55,36 @@ def test_command_output_matches_stored_text(name, capsys):
     assert main(COMMANDS[name]) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (want, "")
+
+
+PAPER_CASES = {
+    "tree_h3_b2": (ExperimentConfig(source="tree", tree_height=3), (1e-4, 1e-8, 0.0)),
+    "water_b2": (ExperimentConfig(source="bif", bif="water"), (1e-4, 1e-11, 0.0)),
+}
+
+
+def paper_phase2(name):
+    """Paper-mode phase 2 at each of the case's truncation scales, as plain
+    numbers: horizon 6C, table seed 7."""
+    config, scales = PAPER_CASES[name]
+    _, dag, targets = load_structure(config)
+    arms = build_arms(config, dag, targets, 2)
+    inst = Instance(dag, random_conditional_table(dag, 7), arms)
+    out = {}
+    for scale in scales:
+        p1 = run_phase1(SimulatedEnvironment(inst, 1), dag, arms, scale, 6 * inst.uncertain_rows)
+        res = run_phase2(SimulatedEnvironment(inst, 2), p1, "paper", rng=3)
+        out[repr(scale)] = {
+            "weights": res.weights.tolist(),
+            "estimate": [r.tolist() for r in res.estimate.rows],
+            "value": res.solver.value,
+            "gap": res.solver.gap,
+            "iterations": res.solver.iterations,
+        }
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_CASES))
+def test_paper_phase2_matches_stored_numbers(name):
+    want = json.loads((DATA / "golden_paper_phase2.json").read_text(encoding="utf-8"))[name]
+    assert paper_phase2(name) == want

@@ -8,7 +8,6 @@ from causalbandit.inference import (
     brute_force_parent_probability,
     brute_force_target_probability,
     parent_probabilities,
-    parent_probability,
     sample_batch,
     target_probabilities,
     target_probability,
@@ -97,7 +96,8 @@ def test_parent_prob_zero_when_node_fixed():
     vals = list(inst.arms.matrix[0])
     vals[node] = 0
     pi = ParentRealization.from_index(dag.parents[node], 0)
-    assert parent_probability(inst.table, dag, node, pi, Intervention(tuple(vals))) == 0.0
+    arm = Intervention(tuple(vals))
+    assert parent_probabilities(inst.table, dag, node, arm)[0, pi.index] == 0.0
 
 
 def test_parent_prob_empty_scope_is_one():
@@ -105,7 +105,7 @@ def test_parent_prob_empty_scope_is_one():
     table = random_conditional_table(dag, 0)
     pi = ParentRealization((), ())
     arm = Intervention((FREE, 1, FREE))
-    assert parent_probability(table, dag, 0, pi, arm) == pytest.approx(1.0)
+    assert parent_probabilities(table, dag, 0, arm)[0, pi.index] == pytest.approx(1.0)
 
 
 def test_parent_prob_parents_clamped():
@@ -114,8 +114,10 @@ def test_parent_prob_parents_clamped():
     pi = ParentRealization((0, 1), (1, 0))
     match = Intervention((1, 0, FREE))
     mismatch = Intervention((1, 1, FREE))
-    assert parent_probability(table, dag, 2, pi, match) == pytest.approx(1.0, abs=1e-12)
-    assert parent_probability(table, dag, 2, pi, mismatch) == pytest.approx(0.0, abs=1e-12)
+    assert (parent_probabilities(table, dag, 2, match)[0, pi.index]
+            == pytest.approx(1.0, abs=1e-12))
+    assert (parent_probabilities(table, dag, 2, mismatch)[0, pi.index]
+            == pytest.approx(0.0, abs=1e-12))
 
 
 def test_parent_prob_marginal_normalization():
@@ -151,7 +153,7 @@ def test_sweep_matches_brute_force_parents():
         pi = ParentRealization.from_index(dag.parents[node], idx)
         for arm in inst.arms:
             want = brute_force_parent_probability(inst.table, dag, node, pi, arm)
-            got = parent_probability(inst.table, dag, node, pi, arm)
+            got = parent_probabilities(inst.table, dag, node, arm)[0, pi.index]
             assert abs(got - want) <= 1e-12
 
 
@@ -187,8 +189,8 @@ def test_truncation_monotonicity():
             m = int(rng.integers(1, n))
             pi = ParentRealization.from_index(
                 inst.dag.parents[m], int(rng.integers(0, inst.dag.row_count(m))))
-            assert (parent_probability(trunc, inst.dag, m, pi, arm)
-                    <= parent_probability(inst.table, inst.dag, m, pi, arm) + 1e-12)
+            assert (parent_probabilities(trunc, inst.dag, m, arm)[0, pi.index]
+                    <= parent_probabilities(inst.table, inst.dag, m, arm)[0, pi.index] + 1e-12)
 
 
 def test_capacity_guard_trips():

@@ -1,10 +1,10 @@
-"""The sweeps against the brute-force oracles on random networks, and the
-chunking of the arm axis."""
+"""The sweeps against the brute-force oracles on random networks, phase 1's
+stored reach against a fresh sweep, and the chunking of the arm axis."""
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from causalbandit import inference
@@ -12,6 +12,7 @@ from causalbandit.bif import load_bundled, to_causal_dag
 from causalbandit.errors import CapacityError
 from causalbandit.inference import (
     FRONTIER_LIMIT,
+    SimulatedEnvironment,
     brute_force_parent_probability,
     brute_force_target_probability,
     parent_probabilities,
@@ -21,12 +22,14 @@ from causalbandit.model import (
     FREE,
     CausalDag,
     ConditionalTable,
+    Instance,
     Intervention,
     InterventionSet,
     ParentRealization,
     enumerate_root_interventions,
     random_conditional_table,
 )
+from causalbandit.phase1 import run_phase1
 from conftest import brute_joint
 
 
@@ -78,6 +81,23 @@ def test_sweeps_match_brute_force(net):
                 assert abs(got[a, r] - want) <= 1e-12
             mass = prefix_mass(table, dag, n, arm) if arm.values[n] == FREE else 0.0
             assert abs(got[a].sum() - mass) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(networks(), st.integers(0, 2 ** 32 - 1))
+def test_phase1_reach_is_the_parent_sweep_of_its_table(net, seed):
+    """Phase 2 reads `reach` in place of sweeping the trimmed table again."""
+    table, dag, arms = net
+    assume(arms.uncertain_nodes)
+    inst = Instance(dag, table, arms)
+    for scale in (0.0, 1e-3, 1e9):
+        p1 = run_phase1(SimulatedEnvironment(inst, seed), dag, arms, scale,
+                        6 * inst.uncertain_rows)
+        for n in range(dag.node_count):
+            assert np.array_equal(p1.reach[n], parent_probabilities(p1.trimmed, dag, n, arms))
+        for n in p1.uncertain_nodes:
+            assert np.array_equal(p1.best_arm[n], p1.reach[n].argmax(axis=0))
+            assert np.array_equal(p1.best_value[n], p1.reach[n].max(axis=0))
 
 
 @contextmanager
