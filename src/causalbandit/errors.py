@@ -10,7 +10,9 @@ class BudgetError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Exact inference refused: the sweep frontier exceeds the supported width."""
+    """Exact inference refused: one clique of the sweep's min-fill variable
+    elimination, the factor over the kept nodes included, would span more
+    than `inference.FRONTIER_LIMIT` variables."""
 
 
 class IllPosedObjectiveError(RuntimeError):

@@ -4,29 +4,38 @@ Two independent engines compute the same quantities:
 
 * a brute-force enumerator, written directly from the defining sums, used as
   the test oracle for everything else;
-* a frontier sweep that walks nodes in topological order keeping a joint
-  distribution only over nodes whose children are still pending, batched over
-  an axis of interventions.
+* variable elimination batched over an axis of interventions: one factor per
+  node, with the variables summed out one at a time in a greedy min-fill
+  order, so that the largest array is set by the width of that elimination.
 
 "Target probability" is P(last node = 1 | intervention). "Parent
 probabilities" of node n form an (arms, 2^k) matrix for its k parents: entry
 [a, r] is the mass of the nodes before n, under arm a, with n's parents equal
-to parent row r (zero when arm a fixes n). One sweep keeps the parents on the
-frontier to the end and reads every row at once. The mass is taken over the
-whole prefix, so sub-stochastic (partly estimated) nodes that are not
-ancestors of n still scale it: each row of the matrix sums to the arm's prefix
-mass, and a parentless node gets one column equal to it, not 1.
+to parent row r (zero when arm a fixes n). One sweep keeps the parents to the
+end and reads every row at once. The mass is taken over the whole prefix, so
+sub-stochastic (partly estimated) nodes that are not ancestors of n still
+scale it: each row of the matrix sums to the arm's prefix mass, and a
+parentless node gets one column equal to it, not 1.
 
 A sweep is planned once for the whole arm set, and only the plan knows the
-frontier layout. It holds, for each step, the node, the source of each
-parent's bit (a frontier position, or None for a per-arm constant; None for
-all the parents of a node fixed in every arm) and the positions summed out
-after it; where each kept node is read at the end; and the widest frontier.
-`_execute` then only multiplies, splits and sums, on chunks of arms each sized
-so that one state array holds at most max(STATE_BUDGET, 2^width) cells. Every
-arm's arithmetic is the same whatever the chunking, so results do not depend
-on it. `CapacityError` is raised, before any state is built, only when the
-frontier of a single arm would be wider than FRONTIER_LIMIT.
+layout. The variables are the relevant nodes free in at least one arm, the
+evidence excepted. Each relevant node that some arm leaves free has a factor
+over itself, unless it is evidence, and its parents that are variables: per
+arm, its conditional values where the arm leaves it free and the indicator of
+its clamp where the arm fixes it. A parent that is no variable, being fixed in
+every arm or evidence, is a per-arm constant read off the `fixed` matrix, and
+evidence fixed in every arm keeps only its indicator. The plan eliminates
+every variable but the kept ones in greedy min-fill order (fewest added edges
+first, the lowest node on a tie). Each step multiplies the factors that hold
+the variable into one clique array and sums that variable's length-2 axis
+out; what is left is the kept variables' output factor. `width` is the
+largest clique, the output factor included. `_execute` then only multiplies
+and sums, on chunks of arms each sized so that one clique array holds at most
+max(STATE_BUDGET, 2^width) cells. Every arm's arithmetic is the same whatever
+the chunking, so results do not depend on it; the plan, and with it the last
+bits of an arm's result, does depend on the arm set. `CapacityError` is
+raised, before any array is built, only when one clique would span more than
+FRONTIER_LIMIT variables.
 
 Sampling has one entry point, `sample_batch`. It reads each node's parent row
 off `CausalDag.row_keys`, the packing that `phase1.fold_counts` counts with.
@@ -35,6 +44,7 @@ charges the experiment ledger.
 """
 from __future__ import annotations
 
+import heapq
 import itertools
 from typing import NamedTuple
 
@@ -53,7 +63,7 @@ from .model import (
 )
 
 FRONTIER_LIMIT = 20
-STATE_BUDGET = 1 << 16  # cells of one state array; the arm axis is chunked to fit
+STATE_BUDGET = 1 << 16  # cells of one clique array; the arm axis is chunked to fit
 BRUTE_FORCE_LIMIT = 20
 
 
@@ -115,26 +125,51 @@ def brute_force_parent_probability(table: ConditionalTable, dag: CausalDag, n: i
 
 
 # ---------------------------------------------------------------------------
-# frontier sweep
+# variable elimination
 
-def _arm_matrix(arms) -> np.ndarray:
+def _arm_matrix(arms, dag: CausalDag, n: int | None = None) -> np.ndarray:
+    """The arms as an (arms, nodes) int8 matrix, checked against the graph
+    and, for a parent query, the queried node n."""
     if isinstance(arms, InterventionSet):
-        return arms.matrix
-    if isinstance(arms, Intervention):
-        return np.asarray([arms.values], dtype=np.int8)
-    m = np.asarray(arms, dtype=np.int8)
-    return m[None, :] if m.ndim == 1 else m
+        m = arms.matrix
+    elif isinstance(arms, Intervention):
+        m = np.asarray([arms.values])
+    else:
+        m = np.asarray(arms)
+        m = m[None, :] if m.ndim == 1 else m
+    if m.ndim != 2 or m.shape[1] != dag.node_count:
+        raise ParameterError("intervention length does not match the graph")
+    if not np.isin(m, (FREE, 0, 1)).all():
+        raise ParameterError("intervention entries must be in {*, 0, 1}")
+    if n is not None and not 0 <= n < dag.node_count:
+        raise ParameterError(f"node {n} is not in the graph")
+    return m.astype(np.int8, copy=False)
 
 
 class _Plan(NamedTuple):
     """A sweep's schedule for the whole arm set (see the module docstring).
-    Each retire entry is a position as it stands when that bit is summed out."""
 
-    order: tuple[int, ...]
-    sources: tuple[tuple[int | None, ...] | None, ...]
-    retire: tuple[tuple[int, ...], ...]
+    `factors` holds one (node, scope, sources) entry per factor: the
+    variables it spans, ascending, and each parent's position among them, or
+    None when the bit is read off `fixed` (sources is None for evidence fixed
+    in every arm, whose factor is its indicator). `steps` holds one (inputs,
+    axis) entry per eliminated variable, whose message takes the next factor
+    id; `final` the inputs of the output factor. Each input is a factor id
+    with its shape inside the clique: 2 on the axes it spans, 1 elsewhere.
+    `kept` gives each kept node's bit shift in the output, or None when it
+    is read off `fixed`."""
+
+    factors: tuple[tuple[int, tuple[int, ...], tuple[int | None, ...] | None], ...]
+    steps: tuple[tuple[tuple[tuple[int, tuple[int, ...]], ...], int], ...]
+    final: tuple[tuple[int, tuple[int, ...]], ...]
     kept: tuple[int | None, ...]
     width: int
+
+
+def _fill(adj: dict[int, set[int]], v: int) -> int:
+    """Edges that eliminating v would add between its neighbours."""
+    nb = adj[v]
+    return (len(nb) * (len(nb) - 1) - sum(len(adj[a] & nb) for a in nb)) // 2
 
 
 def _plan(table: ConditionalTable, dag: CausalDag, free_any: np.ndarray,
@@ -157,81 +192,123 @@ def _plan(table: ConditionalTable, dag: CausalDag, free_any: np.ndarray,
                     relevant.add(p)
                     work.append(p)
 
-    order: list[int] = []
-    visited = set()
-
-    def visit(m):
-        visited.add(m)
-        for p in dag.parents[m]:
-            if p in relevant and p not in visited:
-                visit(p)
-        order.append(m)
-
-    for m in sorted(relevant, reverse=True):
-        if m not in visited:
-            visit(m)
-
-    last_read = {m: i for i, m in enumerate(order)}
-    for i, m in enumerate(order):
+    # the variables: relevant nodes free in some arm, evidence excepted
+    variables = {m for m in relevant if free_any[m] and m not in evidence}
+    factors = []
+    for m in sorted(relevant):
         if free_any[m]:
-            for p in dag.parents[m]:
-                last_read[p] = max(last_read[p], i)
-    for m in keep:
-        last_read[m] = len(order)
+            scope = tuple(sorted({p for p in dag.parents[m] if p in variables}
+                                 | ({m} & variables)))
+            sources = tuple(scope.index(p) if p in variables else None
+                            for p in dag.parents[m])
+        elif m in evidence:  # fixed in every arm: only its indicator is left
+            scope, sources = (), None
+        else:
+            continue
+        factors.append((m, scope, sources))
 
-    def source(p):
-        return frontier.index(p) if p in frontier else None
+    def shape(scope, clique):
+        return tuple(2 if u in scope else 1 for u in clique)
 
-    frontier: list[int] = []           # frontier[j] owns state bit weight 2^j
-    sources, retire, width = [], [], 0
-    for step, m in enumerate(order):
-        sources.append(tuple(map(source, dag.parents[m])) if free_any[m] else None)
-        if free_any[m] and m not in evidence:
-            frontier.append(m)
-            width = max(width, len(frontier))
-        gone = [j for j, f in enumerate(frontier) if last_read[f] <= step]
-        frontier = [f for f in frontier if last_read[f] > step]
-        retire.append(tuple(j - i for i, j in enumerate(gone)))  # shifted by earlier sum-outs
+    adj: dict[int, set[int]] = {v: set() for v in variables}
+    live = {}                        # factor id -> scope, for the unconsumed ones
+    holders: dict[int, list[int]] = {v: [] for v in variables}
+    for i, (_, scope, _) in enumerate(factors):
+        live[i] = scope
+        for v in scope:
+            adj[v].update(scope)
+            holders[v].append(i)
+    for v in variables:
+        adj[v].discard(v)
+
+    kept_vars = sorted(variables.intersection(keep))
+    score = {v: _fill(adj, v) for v in variables.difference(keep)}
+    heap = [(s, v) for v, s in score.items()]  # stale entries are skipped
+    heapq.heapify(heap)
+    steps, width = [], len(kept_vars)
+    while heap:  # greedy min-fill; the lowest node breaks a tie
+        s, v = heapq.heappop(heap)
+        if score.get(v) != s:
+            continue
+        del score[v]
+        inputs = [i for i in holders.pop(v) if i in live]
+        clique = tuple(sorted(set().union(*(live[i] for i in inputs))))
+        width = max(width, len(clique))
+        message = len(factors) + len(steps)
+        steps.append((tuple((i, shape(live.pop(i), clique)) for i in inputs),
+                      clique.index(v)))
+        live[message] = tuple(u for u in clique if u != v)
+        for u in live[message]:
+            holders[u].append(message)
+        nb = adj.pop(v)
+        for a in nb:
+            adj[a].discard(v)
+            adj[a].update(nb - {a})
+        touched = nb.union(*(adj[a] for a in nb))
+        for u in touched.intersection(score):
+            score[u] = _fill(adj, u)
+            heapq.heappush(heap, (score[u], u))
     if width > FRONTIER_LIMIT:
-        raise CapacityError(f"frontier width {width} exceeds limit {FRONTIER_LIMIT}")
-    return _Plan(tuple(order), tuple(sources), tuple(retire), tuple(map(source, keep)), width)
+        raise CapacityError(f"largest clique {width} exceeds limit {FRONTIER_LIMIT}")
+    final = tuple((i, shape(scope, kept_vars)) for i, scope in sorted(live.items()))
+    kept = tuple(len(kept_vars) - 1 - kept_vars.index(m) if m in variables else None
+                 for m in keep)
+    return _Plan(tuple(factors), tuple(steps), final, kept, width)
+
+
+def _factor(table: ConditionalTable, dag: CausalDag, arms: np.ndarray, fixed: np.ndarray,
+            evidence: dict[int, int], m: int, scope: tuple[int, ...],
+            sources: tuple[int | None, ...] | None) -> np.ndarray:
+    """Node m's factor on one chunk of arms, shape (arms, 2^len(scope)): its
+    conditional value where the arm leaves m free, else the indicator of
+    the clamp."""
+    clamp = arms[:, m, None]
+    if sources is None:
+        return (clamp == evidence[m]).astype(np.float64)
+    cells = np.arange(1 << len(scope))
+
+    def bit(j):
+        return (cells >> (len(scope) - 1 - j)) & 1
+
+    idx = 0
+    for p, j in zip(dag.parents[m], sources):
+        idx = (idx << 1) + (fixed[:, p, None] if j is None else bit(j))
+    v = evidence[m] if m in evidence else bit(scope.index(m))
+    return np.where(clamp == FREE, table.rows[m][idx, v], clamp == v)
 
 
 def _execute(plan: _Plan, table: ConditionalTable, dag: CausalDag, arms: np.ndarray,
              evidence: dict[int, int], keep: tuple[int, ...]) -> np.ndarray:
     """Run the plan on one chunk of arms; see `_sweep` for the result."""
     n_arms = arms.shape[0]
-    fixed = arms.astype(np.int64)  # the bits off the frontier: clamps, then evidence
+    fixed = arms.astype(np.int64)  # the bits of nodes that are no variable: clamps, evidence
     fixed[:, list(evidence)] = list(evidence.values())
-    state = np.ones((n_arms, 1))
-    for m, sources, gone in zip(plan.order, plan.sources, plan.retire):
-        clamp = arms[:, m, None]
-        if sources is None:  # fixed in every arm: evidence just filters
-            if m in evidence:
-                state = state * (clamp == evidence[m]).astype(np.float64)
-        else:
-            cells = np.arange(state.shape[1])
-            idx = 0
-            for p, j in zip(dag.parents[m], sources):
-                idx = (idx << 1) + (fixed[:, p, None] if j is None else (cells >> j) & 1)
-            rows = table.rows[m]
-            fm = clamp == FREE
-            if m in evidence:
-                v = evidence[m]
-                state = state * np.where(fm, rows[idx, v], clamp == v)
-            else:  # one weight array alive at a time keeps the widest step's peak down
-                state = np.concatenate([state * np.where(fm, rows[idx, v], clamp == v)
-                                        for v in (0, 1)], axis=1)
-        for j in gone:
-            state = state.reshape(n_arms, -1, 2, 1 << j).sum(axis=2).reshape(n_arms, -1)
+    made = {}
 
-    # only the kept nodes are left: on the frontier, or read off `fixed`
-    k = len(keep)
-    row = np.arange(1 << k)
-    col = np.zeros(1 << k, dtype=np.int64)
-    hit = np.ones((n_arms, 1 << k), dtype=bool)
+    def take(i, shape):
+        f = made.pop(i) if i in made else _factor(table, dag, arms, fixed, evidence,
+                                                  *plan.factors[i])
+        return f.reshape((n_arms,) + shape)
+
+    next_id = len(plan.factors)
+    for inputs, axis in plan.steps:
+        clique = take(*inputs[0])
+        for i, shape in inputs[1:]:
+            clique = clique * take(i, shape)
+        made[next_id] = clique.sum(axis=1 + axis)  # one length-2 axis
+        next_id += 1
+
+    # the output factor spans the kept variables; the other kept nodes are fixed
+    k = sum(j is not None for j in plan.kept)
+    state = np.ones((n_arms,) + (1,) * k)
+    for i, shape in plan.final:
+        state = state * take(i, shape)
+    state = state.reshape(n_arms, -1)
+    row = np.arange(1 << len(keep))
+    col = np.zeros(1 << len(keep), dtype=np.int64)
+    hit = np.ones((n_arms, 1 << len(keep)), dtype=bool)
     for i, (p, j) in enumerate(zip(keep, plan.kept)):
-        bit = (row >> (k - 1 - i)) & 1
+        bit = (row >> (len(keep) - 1 - i)) & 1
         if j is None:
             hit &= fixed[:, p, None] == bit
         else:
@@ -248,7 +325,7 @@ def _sweep(table: ConditionalTable, dag: CausalDag, arms: np.ndarray,
     Returns shape (arms, 2^len(keep)); column r holds the mass with the kept
     nodes equal to r's binary digits, the first kept node most significant.
     The plan is made once for the whole arm set and then run on chunks of
-    arms sized so one state array holds at most max(STATE_BUDGET,
+    arms sized so one clique array holds at most max(STATE_BUDGET,
     2^width) cells; each arm's arithmetic does not depend on the chunking.
     """
     keep = tuple(keep)
@@ -265,9 +342,7 @@ def _sweep(table: ConditionalTable, dag: CausalDag, arms: np.ndarray,
 
 def target_probabilities(table: ConditionalTable, dag: CausalDag, arms) -> np.ndarray:
     """P(last node = 1) for each intervention, evaluated with the given table."""
-    m = _arm_matrix(arms)
-    if m.shape[1] != dag.node_count:
-        raise ParameterError("intervention length does not match the graph")
+    m = _arm_matrix(arms, dag)
     return _sweep(table, dag, m, {dag.node_count - 1: 1}, dag.node_count)[:, 0]
 
 
@@ -280,7 +355,7 @@ def parent_probabilities(table: ConditionalTable, dag: CausalDag, n: int,
     """Chance that n's parents realize each parent row, per intervention: shape
     (arms, 2^k) for k parents, column r for `ParentRealization.from_index(
     dag.parents[n], r)`; rows are zero where n is fixed."""
-    m = _arm_matrix(arms)
+    m = _arm_matrix(arms, dag, n)
     out = _sweep(table, dag, m, {}, n, dag.parents[n])
     return np.where((m[:, n] == FREE)[:, None], out, 0.0)
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .inference import Environment, target_probabilities, target_probability
+# target_probability is unused here; perfbench/tracer.py's TRACE_POINTS looks it up
+from .inference import Environment, target_probabilities, target_probability  # noqa: F401
 from .model import CausalDag, Instance, Intervention, InterventionSet, uncertain_rows
 from .phase1 import run_phase1
 from .phase2 import run_phase2
@@ -111,12 +112,17 @@ def run_successive_rejects(env: Environment, dag: CausalDag, arms: InterventionS
 
 
 def simple_regret(instance: Instance, chosen) -> float:
-    """Best achievable reward probability minus the mean over chosen arms."""
+    """Best achievable reward probability minus the mean over chosen arms.
+    One sweep scores the arm set and the chosen arms together: the plan of a
+    sweep depends on the arms it is given, so a chosen arm scored on its own
+    could differ from its entry in the set in the last bit, and the regret
+    of the best arm could come out below zero."""
     if isinstance(chosen, Intervention):
         chosen = [chosen]
-    chosen = list(chosen)
+    chosen = [arm.values for arm in chosen]
     if not chosen:
         raise ParameterError("need at least one chosen intervention")
-    best = float(np.max(target_probabilities(instance.table, instance.dag, instance.arms)))
-    vals = [target_probability(instance.table, instance.dag, arm) for arm in chosen]
-    return best - float(np.mean(vals))
+    k = len(instance.arms)
+    mus = target_probabilities(instance.table, instance.dag,
+                               np.vstack([instance.arms.matrix, chosen]))
+    return float(np.max(mus[:k])) - float(np.mean(mus[k:]))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from causalbandit.errors import BudgetError, CapacityError
+from causalbandit.errors import BudgetError, CapacityError, ParameterError
 from causalbandit.inference import (
     SimulatedEnvironment,
     _sweep,
@@ -201,6 +201,38 @@ def test_capacity_guard_trips():
         [np.full(dag.row_count(n), 0.5) for n in range(dag.node_count)])
     with pytest.raises(CapacityError):
         target_probability(table, dag, Intervention((FREE,) * dag.node_count))
+
+
+BAD_QUERIES = {
+    "short arm": lambda t, d: parent_probabilities(t, d, 2, [FREE, FREE]),
+    "long arm": lambda t, d: parent_probabilities(t, d, 2, [FREE] * 4),
+    "arm value 2": lambda t, d: parent_probabilities(t, d, 2, [FREE, 2, FREE]),
+    "negative node": lambda t, d: parent_probabilities(t, d, -1, [FREE] * 3),
+    "node past the end": lambda t, d: parent_probabilities(t, d, 5, [FREE] * 3),
+    "node count": lambda t, d: parent_probabilities(t, d, 3, [FREE] * 3),
+    "target arm value 2": lambda t, d: target_probabilities(t, d, [[FREE, FREE, 2]]),
+    "target short arm": lambda t, d: target_probabilities(t, d, [[FREE, FREE]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_QUERIES))
+def test_bad_queries_raise_parameter_error(name):
+    dag = CausalDag(((), (0,), (0, 1)))
+    with pytest.raises(ParameterError):
+        BAD_QUERIES[name](random_conditional_table(dag, 0), dag)
+
+
+def test_deep_chain_matches_transition_product():
+    n = 2000
+    dag = CausalDag(((),) + tuple((i,) for i in range(n - 1)))
+    success = np.random.default_rng(12).uniform(0.05, 0.95, size=(n, 2))
+    table = ConditionalTable.from_success_probs([success[0, :1]] + list(success[1:]))
+    dist = np.array([1 - success[0, 0], success[0, 0]])
+    for i in range(1, n):
+        dist = dist @ np.array([[1 - success[i, 0], success[i, 0]],
+                                [1 - success[i, 1], success[i, 1]]])
+    got = target_probability(table, dag, Intervention((FREE,) * n))
+    assert got == pytest.approx(dist[1], abs=1e-12)
 
 
 def test_environment_ledger_and_budget():

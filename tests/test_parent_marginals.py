@@ -1,5 +1,7 @@
 """The sweeps against the brute-force oracles on random networks, phase 1's
-stored reach against a fresh sweep, and the chunking of the arm axis."""
+stored reach against a fresh sweep, the chunking of the arm axis, and the
+clique sizes of the elimination plans."""
+import itertools
 from contextlib import contextmanager
 
 import numpy as np
@@ -133,6 +135,72 @@ def alarm_case(budget):
     rows = [r.copy() for r in random_conditional_table(dag, 4).rows]
     rows[15][1] = 0.0
     return ConditionalTable(tuple(rows)), dag, arms
+
+
+def water_case(budget):
+    """Water with the first row of every non-root node zeroed."""
+    dag, _ = to_causal_dag(load_bundled("water"))
+    arms = enumerate_root_interventions(dag.node_count, dag.roots, budget)
+    rows = [r.copy() for r in random_conditional_table(dag, 4).rows]
+    for n in range(dag.node_count):
+        if dag.parents[n]:
+            rows[n][0] = 0.0
+    return ConditionalTable(tuple(rows)), dag, arms
+
+
+# case, and the largest clique its plans may have
+WIDTH_CASES = {
+    "alarm-b2": (lambda: alarm_case(2), 5),
+    "alarm-b4": (lambda: alarm_case(4), 5),
+    "water-b2": (lambda: water_case(2), 10),
+}
+
+
+def query_plans(monkeypatch, table, dag, arms):
+    """(plan, kept variables) of every parent query and of the target query."""
+    plans = []
+    make = inference._plan
+
+    def recording(table, dag, free_any, evidence, prefix, keep):
+        plan = make(table, dag, free_any, evidence, prefix, keep)
+        kept = [m for m, j in zip(keep, plan.kept) if j is not None]
+        plans.append((plan, kept))
+        return plan
+
+    monkeypatch.setattr(inference, "_plan", recording)
+    all_queries(table, dag, arms)
+    assert len(plans) == dag.node_count + 1
+    return plans
+
+
+@pytest.mark.parametrize("name", sorted(WIDTH_CASES))
+def test_min_fill_cliques_stay_small(name, monkeypatch):
+    build, bound = WIDTH_CASES[name]
+    plans = query_plans(monkeypatch, *build())
+    assert max(plan.width for plan, _ in plans) <= bound
+
+
+@pytest.mark.parametrize("name", sorted(WIDTH_CASES))
+def test_min_fill_width_against_networkx(name, monkeypatch):
+    """networkx's min-fill heuristic on the same interaction graph, with the
+    kept variables joined as the output factor. It may eliminate a kept
+    variable early, which the plan never does, and breaks ties its own way,
+    so a query may differ by one; the largest clique of each case agrees."""
+    pytest.importorskip("networkx")
+    import networkx as nx
+    from networkx.algorithms.approximation import treewidth_min_fill_in
+
+    build, _ = WIDTH_CASES[name]
+    ours, theirs = [], []
+    for plan, kept in query_plans(monkeypatch, *build()):
+        graph = nx.Graph()
+        for scope in [s for _, s, _ in plan.factors] + [kept]:
+            graph.add_nodes_from(scope)
+            graph.add_edges_from(itertools.combinations(scope, 2))
+        ours.append(plan.width)
+        theirs.append(treewidth_min_fill_in(graph)[0] + 1 if len(graph) else 0)
+        assert theirs[-1] - 1 <= ours[-1] <= theirs[-1] + 1
+    assert max(ours) == max(theirs)
 
 
 def test_one_arm_chunks_on_alarm():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from causalbandit.bif import load_bundled, to_causal_dag
 from causalbandit.errors import ParameterError
 from causalbandit.inference import SimulatedEnvironment, target_probabilities
 from causalbandit.model import (
@@ -9,6 +10,8 @@ from causalbandit.model import (
     ConditionalTable,
     Instance,
     InterventionSet,
+    enumerate_root_interventions,
+    random_conditional_table,
 )
 from causalbandit.strategies import (
     default_trunc_scale,
@@ -165,3 +168,14 @@ def test_simple_regret_values():
     assert simple_regret(inst, [inst.arms[0], inst.arms[1]]) == pytest.approx(0.5)
     with pytest.raises(ParameterError):
         simple_regret(inst, [])
+
+
+def test_regret_of_each_arm_is_its_gap_to_the_best():
+    # on this table an arm scored alone differs from its entry in the arm set
+    # in the last bit, and a near-best arm scored alone beats the set's best
+    dag, _ = to_causal_dag(load_bundled("water"))
+    arms = enumerate_root_interventions(dag.node_count, dag.roots, 2)
+    inst = Instance(dag, random_conditional_table(dag, 6), arms)
+    mus = target_probabilities(inst.table, dag, arms)
+    for i in np.flatnonzero(mus >= mus.max() - 1e-12):
+        assert simple_regret(inst, arms[int(i)]) == mus.max() - mus[i] >= 0.0
