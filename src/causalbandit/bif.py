@@ -10,13 +10,29 @@ comment styles are skipped.
 from __future__ import annotations
 
 import heapq
+import re
 from dataclasses import dataclass
 from importlib import resources
 
 from .errors import BifParseError, InternalConsistencyError
 from .model import CausalDag
 
-_PUNCT = set("{}()[]|,;")
+# One match per token: the spaces and comments before it, then the token, or
+# the end of the text. A word is whatever is no space, comment or punctuation,
+# up to a "//" or "/*". A plain decimal word is a number and a word that starts
+# with a letter no float starts with (all but i and n, for inf and nan) is a
+# name, both at once; any other word is a number when `float` reads it. The
+# pattern is compiled at the first parse (`re` caches it), not at import.
+_WORD_CHAR = r"(?:[^ \t\r\n{}()\[\]|,;/] | /(?![/*]))"
+_TOKEN = rf"""
+    (?:[ \t\r\n]+ | //[^\n]* | /\*.*?\*/)*
+    (?: (?P<open>/\*)
+      | (?P<punct>[{{}}()\[\]|,;])
+      | (?P<number>[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?!{_WORD_CHAR}))
+      | (?P<ident>[A-HJ-MO-Za-hj-mo-z_]{_WORD_CHAR}*)
+      | (?P<word>{_WORD_CHAR}+)
+      | \Z)
+"""
 
 
 def _is_number(word: str) -> bool:
@@ -29,49 +45,24 @@ def _is_number(word: str) -> bool:
 
 def _tokenize(text: str):
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise BifParseError("unterminated block comment", line, col)
-            skipped = text[i:end + 2]
-            newlines = skipped.count("\n")
-            if newlines:
-                line += newlines
-                col = len(skipped) - skipped.rfind("\n")
-            else:
-                col += len(skipped)
-            i = end + 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        j = i
-        while j < n and text[j] not in " \t\r\n" and text[j] not in _PUNCT \
-                and not text.startswith("//", j) and not text.startswith("/*", j):
-            j += 1
-        word = text[i:j]
-        tokens.append(("number" if _is_number(word) else "ident", word, line, col))
-        col += j - i
-        i = j
+    line, line_start, last = 1, 0, 0
+    next_newline = text.find("\n") % (len(text) + 1)  # past the end when there is none
+    for m in re.finditer(_TOKEN, text, re.VERBOSE | re.DOTALL):
+        kind = m.lastgroup
+        if kind is None:  # only spaces and comments were left
+            break
+        start = m.start(kind)
+        if start > next_newline:  # tokens hold no newline, so the skipped text has them all
+            line += text.count("\n", last, start)
+            line_start = text.rfind("\n", last, start) + 1
+            next_newline = text.find("\n", start) % (len(text) + 1)
+        last = start
+        if kind == "open":
+            raise BifParseError("unterminated block comment", line, start - line_start + 1)
+        word = m[kind]
+        if kind == "word":
+            kind = "number" if _is_number(word) else "ident"
+        tokens.append((kind, word, line, start - line_start + 1))
     return tokens
 
 

@@ -39,8 +39,14 @@ FRONTIER_LIMIT variables.
 
 Sampling has one entry point, `sample_batch`. It reads each node's parent row
 off `CausalDag.row_keys`, the packing that `phase1.fold_counts` counts with.
-Strategies reach it only through an `Environment`, whose `intervene_many` also
-charges the experiment ledger.
+One call draws a whole list of batches: under one arm, or under a (B, nodes)
+matrix of arms that the draws are split over by `even_split` (count // B each,
+one more for the first count % B arms). The random stream is exactly the one
+that one call per batch would take: batch after batch, and within a batch
+node-major over its arm's free nodes. All uniforms are drawn at once, and
+variate (batch i, free node of rank r, draw k) is read at i's start plus
+r x size_i + k. Strategies reach it only through an `Environment`, whose
+`intervene_many` also charges the experiment ledger.
 """
 from __future__ import annotations
 
@@ -180,9 +186,7 @@ def _plan(table: ConditionalTable, dag: CausalDag, free_any: np.ndarray,
     processed nodes that are free in at least one arm. Everything else
     marginalizes to exactly 1 and is skipped."""
     relevant = set(evidence) | set(keep)
-    for m in range(prefix):
-        if free_any[m] and not table.node_is_stochastic(m):
-            relevant.add(m)
+    relevant.update(np.flatnonzero(free_any[:prefix] & ~table.stochastic[:prefix]).tolist())
     work = list(relevant)
     while work:
         m = work.pop()
@@ -363,19 +367,47 @@ def parent_probabilities(table: ConditionalTable, dag: CausalDag, n: int,
 # ---------------------------------------------------------------------------
 # sampling
 
+def even_split(count: int, k: int) -> np.ndarray:
+    """`count` split over k parts as evenly as it goes, the remainder one
+    each to the first parts."""
+    base, extra = divmod(count, k)
+    return base + (np.arange(k) < extra)
+
+
 def sample_batch(table: ConditionalTable, dag: CausalDag, arm_values, count: int,
                  rng) -> np.ndarray:
-    """Draw `count` realizations under one intervention, topological order."""
+    """Draw `count` realizations, shape (count, nodes), under one arm or a
+    (B, nodes) matrix of arms split by `even_split`: batch after batch, each
+    drawn in topological order and taking its uniforms node-major over its
+    arm's free nodes, so one call reads the stream that one call per batch
+    would."""
     rng = as_rng(rng)
-    values = np.asarray(arm_values, dtype=np.int8)
+    values = np.asarray(arm_values, dtype=np.int8).reshape(-1, dag.node_count)
+    sizes = even_split(count, values.shape[0])
+    batch = np.repeat(np.arange(values.shape[0]), sizes)
+    free = values == FREE
+    spans = sizes * free.sum(axis=1)  # the variates each batch takes
+    first_draw, first_variate = np.cumsum(sizes) - sizes, np.cumsum(spans) - spans
+    pos = (first_variate - first_draw)[batch] + np.arange(count)  # each draw's next variate
+    step = sizes[batch]  # a draw's variates lie one batch size apart, node after node
+    u = rng.random(int(spans.sum()))
     keys = dag.row_keys.astype(np.float64)  # exact, and the products run in BLAS
     out = np.empty((dag.node_count, count))  # node-major while drawing
-    for n in range(dag.node_count):
-        if values[n] != FREE:
-            out[n] = values[n]
+    drawn = free[sizes > 0]  # the arms that draw at all
+    for n, (some, every) in enumerate(zip(drawn.any(axis=0).tolist(),
+                                          drawn.all(axis=0).tolist())):
+        if not some:
+            out[n] = values[batch, n]
+            continue
+        idx = (keys[:n, n] @ out[:n]).astype(np.int64)  # parents precede n
+        if every:
+            out[n] = u[pos] < table.rows[n][idx, 1]
+            pos += step
         else:
-            idx = (keys[:n, n] @ out[:n]).astype(np.int64)  # parents precede n
-            out[n] = rng.random(count) < table.rows[n][idx, 1]
+            clamp = values[batch, n]
+            hit = clamp == FREE
+            out[n] = np.where(hit, u[np.where(hit, pos, 0)] < table.rows[n][idx, 1], clamp)
+            pos += step * hit
     return out.T.astype(np.uint8, order="C")
 
 
@@ -384,6 +416,12 @@ class Environment:
     realizations, and spend experiments; the true table stays hidden."""
 
     def intervene_many(self, arm, count: int) -> np.ndarray:
+        """Charge `count` experiments and draw that many realizations, shape
+        (count, nodes). `arm` is one arm or a (B, nodes) matrix of arms; the
+        draws are split over them by `even_split`, the first `count % B` arms
+        one draw more, and come back batch after batch. The batches take the
+        random stream in that order, so one call equals one call per arm with
+        its share. `BudgetError` is raised before anything is drawn."""
         raise NotImplementedError
 
     @property

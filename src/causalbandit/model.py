@@ -137,8 +137,11 @@ class ConditionalTable:
             rows.append(np.stack([1.0 - p1, p1], axis=1))
         return cls(tuple(rows))
 
-    def node_is_stochastic(self, n: int, tol: float = 1e-9) -> bool:
-        return bool(np.all(np.abs(self.rows[n].sum(axis=1) - 1.0) <= tol))
+    @cached_property
+    def stochastic(self) -> np.ndarray:
+        """Per node, whether every row sums to 1 within 1e-9."""
+        ok = np.abs(np.concatenate(self.rows).sum(axis=1) - 1.0) <= 1e-9
+        return np.logical_and.reduceat(ok, np.cumsum([0] + [len(r) for r in self.rows[:-1]]))
 
 
 @dataclass(frozen=True)

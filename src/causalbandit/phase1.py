@@ -8,12 +8,13 @@ upstream estimate is final before it feeds a downstream node's reach: one
 parent-marginal sweep per node gives the chance that each arm produces each
 of its parent rows. That `reach` matrix is kept on the result, and phase 2's
 allocation objective reads it instead of sweeping again. For each pair the
-arm most likely to produce its parent row is pulled for the whole batch.
-`fold_counts`, the one count-folding kernel of both phases, turns the batch
-into (node, parent row, value) counts of the nodes that arm leaves free: the
-pair keeps its own row, so a draw whose arm clamps the pair's node counts for
-nothing, and every batch's fold is summed into the shared counts that
-practical-mode phase 2 starts from. `rate_estimates`, the rule both phases
+arm most likely to produce its parent row is pulled for the whole batch, and
+one sampler call draws every batch of a node. `fold_counts`, the one
+count-folding kernel of both phases, turns the draws into (node, parent row,
+value) counts of the nodes each draw's arm leaves free, summed into the
+shared counts that practical-mode phase 2 starts from. Each pair keeps the
+counts of its own row in its own batch, so a draw whose arm clamps the pair's
+node counts for nothing there. `rate_estimates`, the rule both phases
 use, reads the rates off the counts. Rates whose (rate x best reach) product
 falls under the truncation threshold are marked unreliable and zeroed in the
 returned table; pairs whose best reach itself is tiny are marked rare and
@@ -76,11 +77,13 @@ class TruncationSets:
 
 
 def fold_counts(dag: CausalDag, arm_values, omega: np.ndarray) -> np.ndarray:
-    """Counts of a batch drawn under one arm, flat shape (total rows, 2) indexed
-    [`dag.row_offsets[n]` + parent row, value]; nodes the arm clamps get none."""
-    free = np.flatnonzero(np.asarray(arm_values) == FREE)
-    keys = 2 * (omega @ dag.row_keys[:, free] + dag.row_offsets[free]) + omega[:, free]
-    return np.bincount(keys.ravel(), minlength=2 * dag.total_rows).reshape(-1, 2)
+    """Counts of a batch, flat shape (total rows, 2) indexed
+    [`dag.row_offsets[n]` + parent row, value]. `arm_values` is the one arm
+    the batch was drawn under or a (draws, nodes) matrix of each draw's arm;
+    a draw counts nothing for the nodes its arm clamps."""
+    free = np.broadcast_to(np.asarray(arm_values) == FREE, omega.shape)
+    keys = 2 * (omega @ dag.row_keys + dag.row_offsets[:-1]) + omega
+    return np.bincount(keys[free], minlength=2 * dag.total_rows).reshape(-1, 2)
 
 
 @dataclass(frozen=True)
@@ -135,11 +138,16 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
         reach[n] = parent_probabilities(ConditionalTable(tuple(working)), dag, n, arms)
         best_arm[n] = np.argmax(reach[n], axis=0)
         best_value[n] = reach[n][best_arm[n], np.arange(rows[n])]
+        # every row's batch in one call; row r's are the per_pair draws from r * per_pair
+        pulled = matrix[best_arm[n]]
+        omega = env.intervene_many(pulled, rows[n] * per_pair)
+        draw_arms = np.repeat(pulled, per_pair, axis=0)
+        shared += fold_counts(dag, draw_arms, omega)
+        batch_row = np.repeat(np.arange(rows[n]), per_pair)
+        hit = (omega @ dag.row_keys[:, n] == batch_row) & (draw_arms[:, n] == FREE)
         lo, hi = dag.row_offsets[n], dag.row_offsets[n + 1]
-        for row_idx, arm_idx in enumerate(best_arm[n]):
-            fold = fold_counts(dag, matrix[arm_idx], env.intervene_many(matrix[arm_idx], per_pair))
-            shared += fold
-            own[lo + row_idx] = fold[lo + row_idx]
+        own[lo:hi] = np.bincount(2 * batch_row[hit] + omega[hit, n],
+                                 minlength=2 * rows[n]).reshape(-1, 2)
         est = rate_estimates(own[lo:hi].sum(axis=1), own[lo:hi, 1])
         if trunc_scale > 0:
             unreliable[n] = est * best_value[n][:, None] <= 2.0 * math.e * threshold

@@ -1,15 +1,16 @@
 """Second estimation phase: shared-count refinement of the phase-1 estimates.
 
 The horizon, the per-pair batch and C are read from the phase-1 result. Part
-one replays each pair's recorded best arm for one batch. Part two spends a
-third of the horizon on arms drawn from a weight vector: either the minimizer
-of the allocation objective built from phase 1's stored reach ("paper"; phase
-2 runs no inference of its own) or `allocation.vote_share` of phase 1's best
-arms ("practical"). Every batch of both parts is folded by
-`phase1.fold_counts`, so every node the applied arm leaves free absorbs counts
-from every sample. Practical mode starts from phase 1's shared counts, paper
-mode from zero. Final rates follow `phase1.rate_estimates` and are zeroed
-wherever phase 1 dropped the entry.
+one replays each pair's recorded best arm for one batch, every batch in one
+sampler call. Part two spends a third of the horizon on arms drawn from a
+weight vector: either the minimizer of the allocation objective built from
+phase 1's stored reach ("paper"; phase 2 runs no inference of its own) or
+`allocation.vote_share` of phase 1's best arms ("practical"), one sampler call
+per picked arm. Every batch of both parts is folded by `phase1.fold_counts`,
+so every node the applied arm leaves free absorbs counts from every sample.
+Practical mode starts from phase 1's shared counts, paper mode from zero.
+Final rates follow `phase1.rate_estimates` and are zeroed wherever phase 1
+dropped the entry.
 """
 from __future__ import annotations
 
@@ -73,13 +74,13 @@ def run_phase2(env: Environment, phase1: Phase1Result, mode: str, rng) -> Phase2
     draws = phase1.horizon // 3
     picks = np.searchsorted(np.cumsum(weights), rng.random(draws), side="right")
     pick_counts = np.bincount(np.clip(picks, 0, len(arms) - 1), minlength=len(arms))
-    batches = [(arm_idx, phase1.per_pair)
-               for n in phase1.uncertain_nodes for arm_idx in phase1.best_arm[n]]
-    batches += [(arm_idx, int(pick_counts[arm_idx])) for arm_idx in np.flatnonzero(pick_counts)]
     counts = phase1.shared.copy() if mode == "practical" else np.zeros_like(phase1.shared)
-    for arm_idx, count in batches:
+    replay = arms.matrix[np.concatenate([phase1.best_arm[n] for n in phase1.uncertain_nodes])]
+    counts += fold_counts(dag, np.repeat(replay, phase1.per_pair, axis=0),
+                          env.intervene_many(replay, len(replay) * phase1.per_pair))
+    for arm_idx in np.flatnonzero(pick_counts):  # unequal counts: one call per arm
         arm = arms.matrix[arm_idx]
-        counts += fold_counts(dag, arm, env.intervene_many(arm, count))
+        counts += fold_counts(dag, arm, env.intervene_many(arm, int(pick_counts[arm_idx])))
 
     seen = counts.sum(axis=1)
     rates = dag.split_rows(rate_estimates(seen, counts[:, 1]))  # zero on nodes no arm frees

@@ -13,7 +13,12 @@ import numpy as np
 
 from .errors import ParameterError
 # target_probability is unused here; perfbench/tracer.py's TRACE_POINTS looks it up
-from .inference import Environment, target_probabilities, target_probability  # noqa: F401
+from .inference import (  # noqa: F401
+    Environment,
+    even_split,
+    target_probabilities,
+    target_probability,
+)
 from .model import CausalDag, Instance, Intervention, InterventionSet, uncertain_rows
 from .phase1 import run_phase1
 from .phase2 import run_phase2
@@ -55,19 +60,16 @@ def run_causal_bandit(env: Environment, dag: CausalDag, arms: InterventionSet,
 def run_uniform_baseline(env: Environment, dag: CausalDag, arms: InterventionSet,
                          horizon: int) -> StrategyResult:
     """Split the horizon as evenly as possible over the arms, remainder to the
-    lowest indices; never-pulled arms keep estimate zero."""
+    lowest indices (`even_split`), and draw it in one call; never-pulled arms
+    keep estimate zero."""
     if horizon < 0:
         raise ParameterError("horizon must be nonnegative")
     k = len(arms)
-    base, extra = divmod(horizon, k)
-    mu_hat = np.zeros(k)
+    pulls = even_split(horizon, k)  # the split `intervene_many` makes
     before = env.experiments_used
-    for i in range(k):
-        count = base + (1 if i < extra else 0)
-        if count == 0:
-            continue
-        omega = env.intervene_many(arms.matrix[i], count)
-        mu_hat[i] = omega[:, -1].mean()
+    omega = env.intervene_many(arms.matrix, horizon)
+    mu_hat = np.bincount(np.repeat(np.arange(k), pulls), weights=omega[:, -1],
+                         minlength=k) / np.maximum(pulls, 1)
     chosen = int(np.argmax(mu_hat))
     return StrategyResult(chosen, arms[chosen], mu_hat, env.experiments_used - before)
 
@@ -76,9 +78,9 @@ def run_successive_rejects(env: Environment, dag: CausalDag, arms: InterventionS
                            horizon: int) -> StrategyResult:
     """Round-based elimination: each round tops every survivor up to a shared
     pull count, then retires the lowest empirical mean (lowest index on ties).
-    Rounds whose schedule entry is not yet positive pull nothing; with a
-    horizon of at most one pull per arm none is, and elimination by index
-    alone leaves the last arm, returned at once."""
+    One call draws a round's pulls. Rounds whose schedule entry is not yet
+    positive pull nothing; with a horizon of at most one pull per arm none is,
+    and elimination by index alone leaves the last arm, returned at once."""
     k = len(arms)
     if k < 2:
         raise ParameterError("need at least two arms")
@@ -96,13 +98,12 @@ def run_successive_rejects(env: Environment, dag: CausalDag, arms: InterventionS
         target = int(np.ceil((horizon - k) / (log_bar * (k + 1 - stage))))
         add = max(0, target - level)
         level = max(level, target)
-        if add > 0:
-            for i in np.flatnonzero(active):
-                omega = env.intervene_many(arms.matrix[i], add)
-                sums[i] += omega[:, -1].sum()
-                pulls[i] += add
-        means = np.where(pulls > 0, sums / np.maximum(pulls, 1), 0.0)
         live = np.flatnonzero(active)
+        if add > 0:
+            omega = env.intervene_many(arms.matrix[live], add * len(live))
+            sums[live] += omega[:, -1].reshape(len(live), add).sum(axis=1)
+            pulls[live] += add
+        means = np.where(pulls > 0, sums / np.maximum(pulls, 1), 0.0)
         worst = live[int(np.argmin(means[live]))]
         active[worst] = False
     survivor = int(np.flatnonzero(active)[0])

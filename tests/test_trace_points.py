@@ -38,3 +38,20 @@ def test_traced_sweep_fills_every_digest():
     layers = {span[0] for span in traced.spans}
     assert set(tracer.DIGESTS) <= layers
     assert all(span[4] is not None for span in traced.spans if span[0] in tracer.DIGESTS)
+
+
+def test_traced_draws_equal_the_experiments_used():
+    # one sampler call may draw many batches; its `draws` digest must still
+    # count every experiment the strategies report
+    tracer = load_tracer()
+    config = ExperimentConfig(tree_height=2, budgets=(1,), multipliers=(3, 6), trials=1,
+                              strategies=("proposed-paper", "proposed-practical",
+                                          "uniform", "successive-rejects"))
+    with tracer.Tracer(causalbandit) as traced:
+        report = run_sweep(config)
+    assert len(report.rows) == 8 and not report.failures
+    draws = sum(span[4]["draws"] for span in traced.spans if span[0] == "inference.sample")
+    used = sum(span[4]["used"] for span in traced.spans
+               if span[0] in ("strategies.proposed", "strategies.baseline"))
+    assert used > 0
+    assert draws == used
