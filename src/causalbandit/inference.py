@@ -8,45 +8,51 @@ Two independent engines compute the same quantities:
   node, with the variables summed out one at a time in a greedy min-fill
   order, so that the largest array is set by the width of that elimination.
 
-"Target probability" is P(last node = 1 | intervention). "Parent
-probabilities" of node n form an (arms, 2^k) matrix for its k parents: entry
-[a, r] is the mass of the nodes before n, under arm a, with n's parents equal
-to parent row r (zero when arm a fixes n). One sweep keeps the parents to the
-end and reads every row at once. The mass is taken over the whole prefix, so
-sub-stochastic (partly estimated) nodes that are not ancestors of n still
-scale it: each row of the matrix sums to the arm's prefix mass, and a
-parentless node gets one column equal to it, not 1.
+The engine answers one query. The "parent probabilities" of node n form an
+(arms, 2^k) matrix for its k parents: entry [a, r] is the mass of the nodes
+before n, under arm a, with n's parents equal to parent row r (zero when arm
+a fixes n). One sweep keeps the parents to the end and reads every row at
+once. The mass is taken over the whole prefix, so sub-stochastic (partly
+estimated) nodes that are not ancestors of n still scale it: each row of the
+matrix sums to the arm's prefix mass, and a parentless node gets one column
+equal to it, not 1. The "target probability" P(last node = 1 |
+intervention) is the last node's parent-row mass times its chance of 1 in
+each row: its conditional rate where the arm leaves it free, the indicator
+of clamp 1 where the arm fixes it.
 
-A sweep is planned once for the whole arm set, and only the plan knows the
-layout. The variables are the relevant nodes free in at least one arm, the
-evidence excepted. Each relevant node that some arm leaves free has a factor
-over itself, unless it is evidence, and its parents that are variables: per
-arm, its conditional values where the arm leaves it free and the indicator of
-its clamp where the arm fixes it. A parent that is no variable, being fixed in
-every arm or evidence, is a per-arm constant read off the `fixed` matrix, and
-evidence fixed in every arm keeps only its indicator. The plan eliminates
-every variable but the kept ones in greedy min-fill order (fewest added edges
-first, the lowest node on a tie). Each step multiplies the factors that hold
-the variable into one clique array and sums that variable's length-2 axis
-out; what is left is the kept variables' output factor. `width` is the
-largest clique, the output factor included. `_execute` then only multiplies
-and sums, on chunks of arms each sized so that one clique array holds at most
-max(STATE_BUDGET, 2^width) cells. Every arm's arithmetic is the same whatever
-the chunking, so results do not depend on it; the plan, and with it the last
-bits of an arm's result, does depend on the arm set. `CapacityError` is
-raised, before any array is built, only when one clique would span more than
-FRONTIER_LIMIT variables.
+A sweep for node n is planned once for the whole arm set, and only the plan
+knows the layout. The variables are n's parents and the relevant nodes free
+in at least one arm. Each relevant node that some arm leaves free has a
+factor over itself and its parents that are variables: per arm, its
+conditional values where the arm leaves it free and the indicator of its
+clamp where the arm fixes it. Any other node fixed in every arm is no
+variable but a per-arm constant, read off the arm matrix, except n's parents:
+one of those fixed in every arm has its clamp's indicator as a factor over
+itself. The plan eliminates every variable but n's parents in greedy min-fill
+order (fewest added edges first, the lowest node on a tie). Each step
+multiplies the factors that hold the variable into one clique array and sums
+that variable's length-2 axis out; what is left is the output factor over n's
+parents, axes ascending, which one transpose puts in `dag.parents[n]` order.
+`width` is the largest clique, the output factor included. `_execute` then
+only multiplies and sums, on chunks of arms each sized so that one clique
+array holds at most max(STATE_BUDGET, 2^width) cells. Every arm's arithmetic
+is the same whatever the chunking, so results do not depend on it; the plan,
+and with it the last bits of an arm's result, does depend on the arm set.
+`CapacityError` is raised, before any array is built, only when one clique
+would span more than FRONTIER_LIMIT variables.
 
-Sampling has one entry point, `sample_batch`. It reads each node's parent row
-off `CausalDag.row_keys`, the packing that `phase1.fold_counts` counts with.
-One call draws a whole list of batches: under one arm, or under a (B, nodes)
-matrix of arms that the draws are split over by `even_split` (count // B each,
-one more for the first count % B arms). The random stream is exactly the one
-that one call per batch would take: batch after batch, and within a batch
-node-major over its arm's free nodes. All uniforms are drawn at once, and
-variate (batch i, free node of rank r, draw k) is read at i's start plus
-r x size_i + k. Strategies reach it only through an `Environment`, whose
-`intervene_many` also charges the experiment ledger.
+Sampling has one entry point, `sample_batch`, whose rules are stated here
+only. It reads each node's parent row off `CausalDag.row_keys`, the
+packing that `phase1.fold_counts` counts with. One call draws a whole list
+of batches: under one arm, or under a (B, nodes) matrix of arms that the
+draws are split over by `even_split` (count // B each, one more for the
+first count % B arms), and returns them batch after batch. The random
+stream is exactly the one that one call per batch would take: batch after
+batch, and within a batch node-major over its arm's free nodes in
+topological order. All uniforms are drawn at once, and variate (batch i,
+free node of rank r, draw k) is read at i's start plus r x size_i + k.
+Strategies reach it only through an `Environment`, whose `intervene_many`
+also charges the experiment ledger.
 """
 from __future__ import annotations
 
@@ -157,18 +163,16 @@ class _Plan(NamedTuple):
 
     `factors` holds one (node, scope, sources) entry per factor: the
     variables it spans, ascending, and each parent's position among them, or
-    None when the bit is read off `fixed` (sources is None for evidence fixed
-    in every arm, whose factor is its indicator). `steps` holds one (inputs,
-    axis) entry per eliminated variable, whose message takes the next factor
-    id; `final` the inputs of the output factor. Each input is a factor id
-    with its shape inside the clique: 2 on the axes it spans, 1 elsewhere.
-    `kept` gives each kept node's bit shift in the output, or None when it
-    is read off `fixed`."""
+    None when the bit is read off the arm matrix (sources is None for a
+    parent of the queried node fixed in every arm, whose factor is its
+    clamp's indicator). `steps` holds one (inputs, axis) entry per
+    eliminated variable, whose message takes the next factor id; `final`
+    the inputs of the output factor. Each input is a factor id with its
+    shape inside the clique: 2 on the axes it spans, 1 elsewhere."""
 
     factors: tuple[tuple[int, tuple[int, ...], tuple[int | None, ...] | None], ...]
     steps: tuple[tuple[tuple[tuple[int, tuple[int, ...]], ...], int], ...]
     final: tuple[tuple[int, tuple[int, ...]], ...]
-    kept: tuple[int | None, ...]
     width: int
 
 
@@ -178,15 +182,15 @@ def _fill(adj: dict[int, set[int]], v: int) -> int:
     return (len(nb) * (len(nb) - 1) - sum(len(adj[a] & nb) for a in nb)) // 2
 
 
-def _plan(table: ConditionalTable, dag: CausalDag, free_any: np.ndarray,
-          evidence: dict[int, int], prefix: int, keep: tuple[int, ...]) -> _Plan:
-    """Only nodes that can influence the answer are processed: the evidence,
-    the kept nodes, any node whose rows do not sum to 1 (sub-stochastic
-    estimates must contribute their mass), and, transitively, parents of
-    processed nodes that are free in at least one arm. Everything else
-    marginalizes to exactly 1 and is skipped."""
-    relevant = set(evidence) | set(keep)
-    relevant.update(np.flatnonzero(free_any[:prefix] & ~table.stochastic[:prefix]).tolist())
+def _plan(table: ConditionalTable, dag: CausalDag, free_any: np.ndarray, n: int) -> _Plan:
+    """Only nodes that can influence the answer are processed: n's parents,
+    any node before n whose rows do not sum to 1 (sub-stochastic estimates
+    must contribute their mass), and, transitively, parents of processed
+    nodes that are free in at least one arm. Everything else marginalizes
+    to exactly 1 and is skipped."""
+    keep = dag.parents[n]
+    relevant = set(keep)
+    relevant.update(np.flatnonzero(free_any[:n] & ~table.stochastic[:n]).tolist())
     work = list(relevant)
     while work:
         m = work.pop()
@@ -196,17 +200,16 @@ def _plan(table: ConditionalTable, dag: CausalDag, free_any: np.ndarray,
                     relevant.add(p)
                     work.append(p)
 
-    # the variables: relevant nodes free in some arm, evidence excepted
-    variables = {m for m in relevant if free_any[m] and m not in evidence}
+    # the variables: n's parents and the relevant nodes free in some arm
+    variables = {m for m in relevant if free_any[m]}.union(keep)
     factors = []
     for m in sorted(relevant):
         if free_any[m]:
-            scope = tuple(sorted({p for p in dag.parents[m] if p in variables}
-                                 | ({m} & variables)))
+            scope = tuple(sorted({p for p in dag.parents[m] if p in variables} | {m}))
             sources = tuple(scope.index(p) if p in variables else None
                             for p in dag.parents[m])
-        elif m in evidence:  # fixed in every arm: only its indicator is left
-            scope, sources = (), None
+        elif m in keep:  # fixed in every arm: only its indicator is left
+            scope, sources = (m,), None
         else:
             continue
         factors.append((m, scope, sources))
@@ -225,11 +228,10 @@ def _plan(table: ConditionalTable, dag: CausalDag, free_any: np.ndarray,
     for v in variables:
         adj[v].discard(v)
 
-    kept_vars = sorted(variables.intersection(keep))
     score = {v: _fill(adj, v) for v in variables.difference(keep)}
     heap = [(s, v) for v, s in score.items()]  # stale entries are skipped
     heapq.heapify(heap)
-    steps, width = [], len(kept_vars)
+    steps, width = [], len(keep)
     while heap:  # greedy min-fill; the lowest node breaks a tie
         s, v = heapq.heappop(heap)
         if score.get(v) != s:
@@ -254,22 +256,20 @@ def _plan(table: ConditionalTable, dag: CausalDag, free_any: np.ndarray,
             heapq.heappush(heap, (score[u], u))
     if width > FRONTIER_LIMIT:
         raise CapacityError(f"largest clique {width} exceeds limit {FRONTIER_LIMIT}")
-    final = tuple((i, shape(scope, kept_vars)) for i, scope in sorted(live.items()))
-    kept = tuple(len(kept_vars) - 1 - kept_vars.index(m) if m in variables else None
-                 for m in keep)
-    return _Plan(tuple(factors), tuple(steps), final, kept, width)
+    output = sorted(keep)  # the output factor's axes
+    final = tuple((i, shape(scope, output)) for i, scope in sorted(live.items()))
+    return _Plan(tuple(factors), tuple(steps), final, width)
 
 
-def _factor(table: ConditionalTable, dag: CausalDag, arms: np.ndarray, fixed: np.ndarray,
-            evidence: dict[int, int], m: int, scope: tuple[int, ...],
-            sources: tuple[int | None, ...] | None) -> np.ndarray:
+def _factor(table: ConditionalTable, dag: CausalDag, fixed: np.ndarray, m: int,
+            scope: tuple[int, ...], sources: tuple[int | None, ...] | None) -> np.ndarray:
     """Node m's factor on one chunk of arms, shape (arms, 2^len(scope)): its
     conditional value where the arm leaves m free, else the indicator of
     the clamp."""
-    clamp = arms[:, m, None]
-    if sources is None:
-        return (clamp == evidence[m]).astype(np.float64)
+    clamp = fixed[:, m, None]
     cells = np.arange(1 << len(scope))
+    if sources is None:  # scope is (m,)
+        return (clamp == cells).astype(np.float64)
 
     def bit(j):
         return (cells >> (len(scope) - 1 - j)) & 1
@@ -277,21 +277,19 @@ def _factor(table: ConditionalTable, dag: CausalDag, arms: np.ndarray, fixed: np
     idx = 0
     for p, j in zip(dag.parents[m], sources):
         idx = (idx << 1) + (fixed[:, p, None] if j is None else bit(j))
-    v = evidence[m] if m in evidence else bit(scope.index(m))
+    v = bit(scope.index(m))
     return np.where(clamp == FREE, table.rows[m][idx, v], clamp == v)
 
 
 def _execute(plan: _Plan, table: ConditionalTable, dag: CausalDag, arms: np.ndarray,
-             evidence: dict[int, int], keep: tuple[int, ...]) -> np.ndarray:
+             n: int) -> np.ndarray:
     """Run the plan on one chunk of arms; see `_sweep` for the result."""
     n_arms = arms.shape[0]
-    fixed = arms.astype(np.int64)  # the bits of nodes that are no variable: clamps, evidence
-    fixed[:, list(evidence)] = list(evidence.values())
+    fixed = arms.astype(np.int64)  # the clamps, wide enough to pack parent rows
     made = {}
 
     def take(i, shape):
-        f = made.pop(i) if i in made else _factor(table, dag, arms, fixed, evidence,
-                                                  *plan.factors[i])
+        f = made.pop(i) if i in made else _factor(table, dag, fixed, *plan.factors[i])
         return f.reshape((n_arms,) + shape)
 
     next_id = len(plan.factors)
@@ -302,42 +300,32 @@ def _execute(plan: _Plan, table: ConditionalTable, dag: CausalDag, arms: np.ndar
         made[next_id] = clique.sum(axis=1 + axis)  # one length-2 axis
         next_id += 1
 
-    # the output factor spans the kept variables; the other kept nodes are fixed
-    k = sum(j is not None for j in plan.kept)
-    state = np.ones((n_arms,) + (1,) * k)
+    # the output factor spans n's parents in ascending order; put them in
+    # `dag.parents[n]` order, the first one most significant
+    keep = dag.parents[n]
+    state = np.ones((n_arms,) + (1,) * len(keep))
     for i, shape in plan.final:
         state = state * take(i, shape)
-    state = state.reshape(n_arms, -1)
-    row = np.arange(1 << len(keep))
-    col = np.zeros(1 << len(keep), dtype=np.int64)
-    hit = np.ones((n_arms, 1 << len(keep)), dtype=bool)
-    for i, (p, j) in enumerate(zip(keep, plan.kept)):
-        bit = (row >> (len(keep) - 1 - i)) & 1
-        if j is None:
-            hit &= fixed[:, p, None] == bit
-        else:
-            col |= bit << j
-    return np.where(hit, state[:, col], 0.0)
+    order = sorted(keep)
+    return state.transpose(0, *(1 + order.index(p) for p in keep)).reshape(n_arms, -1)
 
 
-def _sweep(table: ConditionalTable, dag: CausalDag, arms: np.ndarray,
-           evidence: dict[int, int], prefix: int, keep=()) -> np.ndarray:
-    """Joint mass, per arm, of the evidence bits over the first `prefix` nodes,
-    where each arm's free nodes contribute their conditional factors and its
-    fixed nodes act as constants, split by the bits of the `keep` nodes.
+def _sweep(table: ConditionalTable, dag: CausalDag, arms: np.ndarray, n: int) -> np.ndarray:
+    """Joint mass, per arm, of the nodes before n, where each arm's free nodes
+    contribute their conditional factors and its fixed nodes act as
+    constants, split by the bits of n's parents: shape (arms, 2^k), column r
+    for `ParentRealization.from_index(dag.parents[n], r)`, whether or not the
+    arm fixes n.
 
-    Returns shape (arms, 2^len(keep)); column r holds the mass with the kept
-    nodes equal to r's binary digits, the first kept node most significant.
     The plan is made once for the whole arm set and then run on chunks of
     arms sized so one clique array holds at most max(STATE_BUDGET,
     2^width) cells; each arm's arithmetic does not depend on the chunking.
     """
-    keep = tuple(keep)
-    plan = _plan(table, dag, (arms == FREE).any(axis=0), evidence, prefix, keep)
+    plan = _plan(table, dag, (arms == FREE).any(axis=0), n)
     chunk = max(1, STATE_BUDGET >> plan.width)
-    out = np.empty((arms.shape[0], 1 << len(keep)))
+    out = np.empty((arms.shape[0], dag.row_count(n)))
     for lo in range(0, arms.shape[0], chunk):
-        out[lo:lo + chunk] = _execute(plan, table, dag, arms[lo:lo + chunk], evidence, keep)
+        out[lo:lo + chunk] = _execute(plan, table, dag, arms[lo:lo + chunk], n)
     return out
 
 
@@ -345,9 +333,13 @@ def _sweep(table: ConditionalTable, dag: CausalDag, arms: np.ndarray,
 # public operations
 
 def target_probabilities(table: ConditionalTable, dag: CausalDag, arms) -> np.ndarray:
-    """P(last node = 1) for each intervention, evaluated with the given table."""
+    """P(last node = 1) for each intervention, evaluated with the given table:
+    the last node's parent-row mass times its chance of 1 in each row."""
     m = _arm_matrix(arms, dag)
-    return _sweep(table, dag, m, {dag.node_count - 1: 1}, dag.node_count)[:, 0]
+    last = dag.node_count - 1
+    clamp = m[:, last, None]
+    rate = np.where(clamp == FREE, table.rows[last][:, 1], clamp == 1)
+    return (_sweep(table, dag, m, last) * rate).sum(axis=1)
 
 
 def target_probability(table: ConditionalTable, dag: CausalDag, arm: Intervention) -> float:
@@ -360,16 +352,14 @@ def parent_probabilities(table: ConditionalTable, dag: CausalDag, n: int,
     (arms, 2^k) for k parents, column r for `ParentRealization.from_index(
     dag.parents[n], r)`; rows are zero where n is fixed."""
     m = _arm_matrix(arms, dag, n)
-    out = _sweep(table, dag, m, {}, n, dag.parents[n])
-    return np.where((m[:, n] == FREE)[:, None], out, 0.0)
+    return np.where((m[:, n] == FREE)[:, None], _sweep(table, dag, m, n), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # sampling
 
 def even_split(count: int, k: int) -> np.ndarray:
-    """`count` split over k parts as evenly as it goes, the remainder one
-    each to the first parts."""
+    """`count` split over k parts, the remainder one each to the first."""
     base, extra = divmod(count, k)
     return base + (np.arange(k) < extra)
 
@@ -377,10 +367,7 @@ def even_split(count: int, k: int) -> np.ndarray:
 def sample_batch(table: ConditionalTable, dag: CausalDag, arm_values, count: int,
                  rng) -> np.ndarray:
     """Draw `count` realizations, shape (count, nodes), under one arm or a
-    (B, nodes) matrix of arms split by `even_split`: batch after batch, each
-    drawn in topological order and taking its uniforms node-major over its
-    arm's free nodes, so one call reads the stream that one call per batch
-    would."""
+    (B, nodes) matrix of arms, by the rules in the module docstring."""
     rng = as_rng(rng)
     values = np.asarray(arm_values, dtype=np.int8).reshape(-1, dag.node_count)
     sizes = even_split(count, values.shape[0])
@@ -417,11 +404,9 @@ class Environment:
 
     def intervene_many(self, arm, count: int) -> np.ndarray:
         """Charge `count` experiments and draw that many realizations, shape
-        (count, nodes). `arm` is one arm or a (B, nodes) matrix of arms; the
-        draws are split over them by `even_split`, the first `count % B` arms
-        one draw more, and come back batch after batch. The batches take the
-        random stream in that order, so one call equals one call per arm with
-        its share. `BudgetError` is raised before anything is drawn."""
+        (count, nodes), under one arm or a (B, nodes) matrix of arms, as
+        `sample_batch` does. `BudgetError` is raised before anything is
+        drawn."""
         raise NotImplementedError
 
     @property

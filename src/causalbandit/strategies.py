@@ -59,9 +59,8 @@ def run_causal_bandit(env: Environment, dag: CausalDag, arms: InterventionSet,
 
 def run_uniform_baseline(env: Environment, dag: CausalDag, arms: InterventionSet,
                          horizon: int) -> StrategyResult:
-    """Split the horizon as evenly as possible over the arms, remainder to the
-    lowest indices (`even_split`), and draw it in one call; never-pulled arms
-    keep estimate zero."""
+    """Draw the horizon in one call, split over the arms by `even_split` (see
+    the `inference` module docstring); never-pulled arms keep estimate zero."""
     if horizon < 0:
         raise ParameterError("horizon must be nonnegative")
     k = len(arms)
@@ -80,7 +79,8 @@ def run_successive_rejects(env: Environment, dag: CausalDag, arms: InterventionS
     pull count, then retires the lowest empirical mean (lowest index on ties).
     One call draws a round's pulls. Rounds whose schedule entry is not yet
     positive pull nothing; with a horizon of at most one pull per arm none is,
-    and elimination by index alone leaves the last arm, returned at once."""
+    and elimination by index alone leaves the last arm, returned at once.
+    The estimates returned are the last round's empirical means."""
     k = len(arms)
     if k < 2:
         raise ParameterError("need at least two arms")
@@ -107,9 +107,7 @@ def run_successive_rejects(env: Environment, dag: CausalDag, arms: InterventionS
         worst = live[int(np.argmin(means[live]))]
         active[worst] = False
     survivor = int(np.flatnonzero(active)[0])
-    mu_hat = np.where(pulls > 0, sums / np.maximum(pulls, 1), 0.0)
-    return StrategyResult(survivor, arms[survivor], mu_hat,
-                          env.experiments_used - before)
+    return StrategyResult(survivor, arms[survivor], means, env.experiments_used - before)
 
 
 def simple_regret(instance: Instance, chosen) -> float:
