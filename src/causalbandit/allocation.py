@@ -7,6 +7,11 @@ with exponentiated-gradient steps on the active arm's subgradient. Feasible
 iterates are tracked, so the reported value is always an upper bound on the
 true optimum; a linearization bound gives the gap certificate.
 
+Each iteration makes one pass over the `(terms, arms)` arrays for the
+denominators (`values @ w`) and two vector-matrix products: the per-arm row
+sums `(1 / denom) @ numerators` and the active arm's subgradient
+`coef @ values`. It builds no `(terms, arms)` temporaries.
+
 `allocation_complexity` is the offset-free version built from an instance's
 true parent probabilities; its optimum is the instance's intrinsic difficulty
 constant.
@@ -48,12 +53,15 @@ class RatioObjective:
         self.offset = np.asarray(offset, dtype=np.float64)
         if self.values.ndim != 2 or self.include.shape != self.values.shape:
             raise ParameterError("values and include must be matching 2-d arrays")
+        if self.values.shape[1] == 0:
+            raise ParameterError("an objective needs at least one arm")
         if self.offset.shape != (self.values.shape[0],):
             raise ParameterError("offset must have one entry per term row")
         # numerators below the cutoff are dropped: they contribute nothing but
         # can make a zero denominator look ill-posed
         self.include = self.include & (self.values ** 2 >= NUMERATOR_CUTOFF)
         self._numer = self.values ** 2 * self.include
+        self._live = self.include.any(axis=1)
 
     @property
     def n_arms(self) -> int:
@@ -73,12 +81,14 @@ class MinimizeResult:
     iterations: int
 
 
-def _denominators(objective: RatioObjective, weights: np.ndarray) -> np.ndarray:
+def _row_sums(objective: RatioObjective, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-arm sums of numerator / denominator at the given weights, and the
+    denominators, with 1 in place of a dead row's nonpositive one."""
     denom = objective.values @ weights + objective.offset
-    live = objective.include.any(axis=1)
-    if np.any(live & (denom <= 0.0)):
+    if np.any(objective._live & (denom <= 0.0)):
         raise IllPosedObjectiveError("zero denominator on a term with a nonzero numerator")
-    return np.where(denom > 0.0, denom, 1.0)
+    denom = np.where(denom > 0.0, denom, 1.0)
+    return (1.0 / denom) @ objective._numer, denom
 
 
 def evaluate(objective: RatioObjective, weights) -> tuple[float, int]:
@@ -87,26 +97,33 @@ def evaluate(objective: RatioObjective, weights) -> tuple[float, int]:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (objective.n_arms,):
         raise ParameterError(f"weights must have shape ({objective.n_arms},)")
-    if objective.n_terms == 0:
-        return 0.0, 0
-    denom = _denominators(objective, w)
-    vals = (objective._numer / denom[:, None]).sum(axis=0)
+    vals, _ = _row_sums(objective, w)
     arg = int(np.argmax(vals))
     return float(vals[arg]), arg
 
 
-def _subgradient(objective: RatioObjective, weights, active: int) -> np.ndarray:
-    denom = _denominators(objective, weights)
+def _subgradient(objective: RatioObjective, denom: np.ndarray, active: int) -> np.ndarray:
     coef = objective._numer[:, active] / denom ** 2
     return -(coef @ objective.values)
+
+
+def _simplex_point(cand, k_arms: int) -> np.ndarray:
+    cand = np.asarray(cand, dtype=np.float64)
+    if (cand.shape != (k_arms,) or not np.all(np.isfinite(cand)) or np.any(cand < 0.0)
+            or abs(cand.sum() - 1.0) > 1e-9):
+        raise ParameterError(f"an extra start must be {k_arms} finite nonnegative "
+                             "weights that sum to 1")
+    return cand
 
 
 def minimize(objective: RatioObjective, config: SolverConfig | None = None,
              extra_starts=()) -> MinimizeResult:
     """Exponentiated-gradient descent from uniform weights; every candidate in
-    `extra_starts` is also evaluated, and the best feasible point wins."""
+    `extra_starts`, each a point of the simplex, is also evaluated, and the
+    best feasible point wins."""
     config = config or SolverConfig()
     k_arms = objective.n_arms
+    starts = [_simplex_point(cand, k_arms) for cand in extra_starts]
     w = np.full(k_arms, 1.0 / k_arms)
     best_w, best_val = w.copy(), np.inf
     best_lb = -np.inf
@@ -114,10 +131,12 @@ def minimize(objective: RatioObjective, config: SolverConfig | None = None,
     iters = 0
     for it in range(1, config.max_iters + 1):
         iters = it
-        val, active = evaluate(objective, w)
+        vals, denom = _row_sums(objective, w)
+        active = int(np.argmax(vals))
+        val = float(vals[active])
         if val < best_val:
             best_val, best_w = val, w.copy()
-        g = _subgradient(objective, w, active)
+        g = _subgradient(objective, denom, active)
         best_lb = max(best_lb, val + float(np.min(g)) - float(g @ w))
         gap = best_val - best_lb
         if gap <= config.tolerance * max(abs(best_val), 1e-12):
@@ -127,8 +146,7 @@ def minimize(objective: RatioObjective, config: SolverConfig | None = None,
         if scale > 0:
             w = w * np.exp(-(STEP_SCALE / np.sqrt(it)) * (g / scale))
             w = w / w.sum()
-    for cand in extra_starts:
-        cand = np.asarray(cand, dtype=np.float64)
+    for cand in starts:
         val, _ = evaluate(objective, cand)
         if val < best_val:
             best_val, best_w = val, cand.copy()
@@ -183,6 +201,7 @@ def allocation_complexity(instance: Instance,
                           config: SolverConfig | None = None) -> AllocationResult:
     """Minimize the instance's exact allocation objective over the arm simplex."""
     objective, counting = build_exact_objective(instance)
-    res = minimize(objective, config, extra_starts=[counting])
+    # an arm set that frees no uncertain node casts no votes: no start then
+    res = minimize(objective, config, extra_starts=[counting] if counting.any() else [])
     return AllocationResult(res.value, res.weights, res.gap, res.converged,
                             objective.n_terms)

@@ -3,6 +3,7 @@ import pytest
 
 from causalbandit.allocation import (
     NUMERATOR_CUTOFF,
+    STEP_SCALE,
     RatioObjective,
     SolverConfig,
     allocation_complexity,
@@ -51,6 +52,11 @@ def test_hand_built_two_term_objective():
     assert arg == (0 if expect0 >= expect1 else 1)
 
 
+def test_objective_rejects_zero_arms():
+    with pytest.raises(ParameterError):
+        RatioObjective(np.zeros((0, 0)), np.zeros((0, 0), dtype=bool), np.zeros(0))
+
+
 def test_evaluate_rejects_wrong_dimension():
     obj = single_term(3)
     with pytest.raises(ParameterError):
@@ -93,6 +99,37 @@ def test_minimize_indicator_terms_closed_form(k):
     res = minimize(obj)
     assert res.value == pytest.approx(k, rel=1e-3)
     assert np.allclose(res.weights, 1.0 / k, atol=5e-3)
+
+
+def test_minimize_raises_on_ill_posed_objective():
+    # the one term's denominator is 1 * w0 + 1 * w1 - 1 = 0 on the whole simplex
+    obj = RatioObjective(np.array([[1.0, 1.0]]), np.ones((1, 2), dtype=bool), np.array([-1.0]))
+    with pytest.raises(IllPosedObjectiveError):
+        minimize(obj)
+
+
+@pytest.mark.parametrize("start", [
+    [2.0, 2.0],             # accepted, it would win with value 0.125 off the simplex
+    [1.5, -0.5],            # sums to 1, one weight negative
+    [np.nan, 1.0],
+    [np.inf, 0.0],
+    [0.5, 0.5 + 1e-8],      # sum off by more than 1e-9
+    [1.0],                  # wrong length
+])
+def test_minimize_rejects_extra_start_off_the_simplex(start):
+    obj = RatioObjective(np.array([[0.5, 0.5]]), np.ones((1, 2), dtype=bool), np.zeros(1))
+    with pytest.raises(ParameterError):
+        minimize(obj, extra_starts=[start])
+
+
+def test_minimize_keeps_a_better_extra_start_on_the_simplex():
+    # max(1/w0, 2/w1) is 4 at uniform weights and 3, its optimum, at (1/3, 2/3)
+    values = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
+    obj = RatioObjective(values, values > 0, np.zeros(3))
+    start = np.array([1.0 / 3.0, 2.0 / 3.0])
+    res = minimize(obj, SolverConfig(max_iters=1), extra_starts=[start])
+    assert np.array_equal(res.weights, start)
+    assert res.value == pytest.approx(3.0, rel=1e-12)
 
 
 def random_objective(rng, n_terms, n_arms):
@@ -180,3 +217,75 @@ def test_counting_candidate_matches_vote_shares():
     assert votes.sum() == pytest.approx(1.0)
     assert np.all(votes >= 0)
     assert votes.shape == (3,)
+
+
+def _reference_minimize(objective, config):
+    """Reference solver loop with the same update step as `minimize`, but row
+    sums taken along axis 0 of a (terms, arms) quotient and a denominator pass
+    in both the evaluation and the subgradient."""
+    values, include, offset = objective.values, objective.include, objective.offset
+    numer = values ** 2 * include
+
+    def denominators(w):
+        denom = values @ w + offset
+        if np.any(include.any(axis=1) & (denom <= 0.0)):
+            raise IllPosedObjectiveError("zero denominator")
+        return np.where(denom > 0.0, denom, 1.0)
+
+    def evaluate_at(w):
+        vals = (numer / denominators(w)[:, None]).sum(axis=0)
+        arg = int(np.argmax(vals))
+        return float(vals[arg]), arg
+
+    def subgradient(w, active):
+        return -((numer[:, active] / denominators(w) ** 2) @ values)
+
+    w = np.full(objective.n_arms, 1.0 / objective.n_arms)
+    best_w, best_val, best_lb = w.copy(), np.inf, -np.inf
+    converged, iters = False, 0
+    for it in range(1, config.max_iters + 1):
+        iters = it
+        val, active = evaluate_at(w)
+        if val < best_val:
+            best_val, best_w = val, w.copy()
+        g = subgradient(w, active)
+        best_lb = max(best_lb, val + float(np.min(g)) - float(g @ w))
+        if best_val - best_lb <= config.tolerance * max(abs(best_val), 1e-12):
+            converged = True
+            break
+        scale = np.max(np.abs(g))
+        if scale > 0:
+            w = w * np.exp(-(STEP_SCALE / np.sqrt(it)) * (g / scale))
+            w = w / w.sum()
+    return best_w, best_val, max(best_val - best_lb, 0.0), converged, iters
+
+
+def reference_case(rng):
+    """Random objective with zero or positive offsets, a partial include mask
+    and some arms duplicated (values and mask), so that arms tie exactly."""
+    n_terms, n_arms = int(rng.integers(1, 12)), int(rng.integers(2, 9))
+    values = rng.random((n_terms, n_arms))
+    include = rng.random((n_terms, n_arms)) < 0.6
+    for dup in range(1, n_arms):
+        if rng.random() < 0.4:
+            src = int(rng.integers(0, dup))
+            values[:, dup], include[:, dup] = values[:, src], include[:, src]
+    offset = np.zeros(n_terms) if rng.random() < 0.5 else rng.random(n_terms) * 0.2
+    return RatioObjective(values, include, offset)
+
+
+def test_minimize_takes_the_reference_loops_steps():
+    rng = np.random.default_rng(41)
+    config = SolverConfig(max_iters=400, tolerance=1e-3)
+    outcomes = set()
+    for _ in range(60):
+        obj = reference_case(rng)
+        weights, value, gap, converged, iters = _reference_minimize(obj, config)
+        res = minimize(obj, config)
+        assert np.array_equal(res.weights, weights)
+        assert res.iterations == iters and res.converged == converged
+        assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
+        # the gap is a difference of two numbers of the value's size
+        assert res.gap == pytest.approx(gap, rel=1e-12, abs=1e-12 * value)
+        outcomes.add(converged)
+    assert outcomes == {True, False}  # both the early stop and the iteration cap

@@ -50,6 +50,15 @@ def test_gamma_singleton_arm_prints_node_count_minus_fixed(capsys):
     assert "converged=true" in out
 
 
+def test_gamma_all_clamped_arm_is_zero_and_converged(capsys):
+    # the arm frees no node: no term, no vote, and no extra solver start
+    code, out, _ = run_cli(["gamma", "--tree-height", "2", "--arms", "1111111"], capsys)
+    assert code == 0
+    assert "gamma=0\n" in out
+    assert "converged=true" in out
+    assert "terms=0" in out
+
+
 def test_gamma_rejects_malformed_arm(capsys):
     code, _, err = run_cli(["gamma", "--tree-height", "2", "--arms", "12*"],
                            capsys)

@@ -87,4 +87,9 @@ def paper_phase2(name):
 @pytest.mark.parametrize("name", sorted(PAPER_CASES))
 def test_paper_phase2_matches_stored_numbers(name):
     want = json.loads((DATA / "golden_paper_phase2.json").read_text(encoding="utf-8"))[name]
-    assert paper_phase2(name) == want
+    got = paper_phase2(name)
+    assert list(got) == list(want), f"{name}: scales differ"
+    for scale, fields in want.items():
+        assert list(got[scale]) == list(fields), f"{name} scale {scale}: fields differ"
+        for field, value in fields.items():
+            assert got[scale][field] == value, f"{name} scale {scale}: {field} differs"
