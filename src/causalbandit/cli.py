@@ -189,6 +189,9 @@ def _cmd_run(args, out) -> int:
     for f in report.failures:
         sys.stderr.write(f"warning: budget={f.budget} multiplier={f.multiplier} "
                          f"strategy={f.strategy} failed: {f.message}\n")
+    for w in report.warnings:
+        sys.stderr.write(f"warning: budget={w.budget} multiplier={w.multiplier} "
+                         f"strategy={w.strategy}: {w.message}\n")
     csv = report.to_csv()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -236,6 +236,15 @@ class Instance:
         """The budget unit C; see `uncertain_rows`."""
         return uncertain_rows(self.dag, self.arms)
 
+    @cached_property
+    def rewards(self) -> np.ndarray:
+        """Every arm's exact P(reward = 1) on the true table, from one sweep
+        over the arm set, computed on first use and kept."""
+        from .inference import target_probabilities  # inference imports this module
+        rewards = target_probabilities(self.table, self.dag, self.arms)
+        rewards.flags.writeable = False  # shared by every strategy scored on it
+        return rewards
+
 
 def uncertain_rows(dag: CausalDag, arms: InterventionSet) -> int:
     """The budget unit C, in which horizons and the per-pair batch are set:

@@ -75,12 +75,15 @@ def run_uniform_baseline(env: Environment, dag: CausalDag, arms: InterventionSet
 
 def run_successive_rejects(env: Environment, dag: CausalDag, arms: InterventionSet,
                            horizon: int) -> StrategyResult:
-    """Round-based elimination: each round tops every survivor up to a shared
-    pull count, then retires the lowest empirical mean (lowest index on ties).
-    One call draws a round's pulls. Rounds whose schedule entry is not yet
-    positive pull nothing; with a horizon of at most one pull per arm none is,
-    and elimination by index alone leaves the last arm, returned at once.
-    The estimates returned are the last round's empirical means."""
+    """Round-based elimination (Audibert & Bubeck 2010): each stage tops every
+    survivor up to a shared pull count, then retires the lowest empirical
+    mean (lowest index on ties). One call draws a stage's pulls. A stage
+    whose schedule entry does not rise pulls nothing and leaves the means as
+    they were, so a pulling stage and the pull-free stages after it retire
+    their arms together, lowest mean first in a stable sort of the live
+    means. With a horizon of at most one pull per arm no stage pulls, and
+    elimination by index alone leaves the last arm, returned at once. The
+    estimates returned are the last pulling stage's empirical means."""
     k = len(arms)
     if k < 2:
         raise ParameterError("need at least two arms")
@@ -89,39 +92,41 @@ def run_successive_rejects(env: Environment, dag: CausalDag, arms: InterventionS
     if horizon <= k:
         return StrategyResult(k - 1, arms[k - 1], np.zeros(k), 0)
     log_bar = 0.5 + sum(1.0 / i for i in range(2, k + 1))
+    # per-arm pull count after stages 1..k-1; nondecreasing, and at least 1
+    levels = np.ceil((horizon - k) / (log_bar * np.arange(k, 1, -1))).astype(np.int64)
+    adds = np.diff(levels, prepend=0)
+    pulling = np.flatnonzero(adds > 0)  # the first stage always pulls
+    retire = np.diff(pulling, append=k - 1)  # a pulling stage and its pull-free ones
     sums = np.zeros(k)
     pulls = np.zeros(k, dtype=np.int64)
     active = np.ones(k, dtype=bool)
     before = env.experiments_used
-    level = 0
-    for stage in range(1, k):
-        target = int(np.ceil((horizon - k) / (log_bar * (k + 1 - stage))))
-        add = max(0, target - level)
-        level = max(level, target)
+    for add, run in zip(adds[pulling].tolist(), retire.tolist()):
         live = np.flatnonzero(active)
-        if add > 0:
-            omega = env.intervene_many(arms.matrix[live], add * len(live))
-            sums[live] += omega[:, -1].reshape(len(live), add).sum(axis=1)
-            pulls[live] += add
+        omega = env.intervene_many(arms.matrix[live], add * len(live))
+        sums[live] += omega[:, -1].reshape(len(live), add).sum(axis=1)
+        pulls[live] += add
         means = np.where(pulls > 0, sums / np.maximum(pulls, 1), 0.0)
-        worst = live[int(np.argmin(means[live]))]
-        active[worst] = False
+        active[live[np.argsort(means[live], kind="stable")[:run]]] = False
     survivor = int(np.flatnonzero(active)[0])
     return StrategyResult(survivor, arms[survivor], means, env.experiments_used - before)
 
 
 def simple_regret(instance: Instance, chosen) -> float:
-    """Best achievable reward probability minus the mean over chosen arms.
-    One sweep scores the arm set and the chosen arms together: the plan of a
-    sweep depends on the arms it is given, so a chosen arm scored on its own
-    could differ from its entry in the set in the last bit, and the regret
-    of the best arm could come out below zero."""
-    if isinstance(chosen, Intervention):
-        chosen = [chosen]
-    chosen = [arm.values for arm in chosen]
+    """Best reward probability over the arm set minus the mean over the
+    chosen arms, all read off `instance.rewards`, which one sweep over the
+    arm set computes once per instance. Every chosen arm must be in the arm
+    set, so the regret is never below zero."""
+    chosen = [chosen] if isinstance(chosen, Intervention) else list(chosen)
     if not chosen:
         raise ParameterError("need at least one chosen intervention")
-    k = len(instance.arms)
-    mus = target_probabilities(instance.table, instance.dag,
-                               np.vstack([instance.arms.matrix, chosen]))
-    return float(np.max(mus[:k])) - float(np.mean(mus[k:]))
+    matrix = instance.arms.matrix
+    rows = []
+    for arm in chosen:
+        hits = np.flatnonzero((matrix == arm.values).all(axis=1)) \
+            if len(arm) == matrix.shape[1] else []
+        if len(hits) == 0:
+            raise ParameterError(f"chosen arm {arm} is not in the instance's arm set")
+        rows.append(hits[0])
+    rewards = instance.rewards
+    return float(np.max(rewards)) - float(np.mean(rewards[rows]))

@@ -1,15 +1,20 @@
 """Seeded regret sweeps over budgets, horizons, and strategies, with CSV output.
 
 Every sweep cell (budget, multiplier, strategy) is independent: each trial
-rebuilds the instance with a fresh conditional table and runs the strategy
-against a budget-capped environment. All randomness is derived from the base
-seed through a 64-bit mix of the cell coordinates (see `mix_seed`), so reruns
-of the same config produce byte-identical reports; the table seed omits the
-strategy, so every strategy inside a cell faces the same instances. The graph
-is loaded once per sweep and the arms are built once per budget; each cell
-gets them in its payload. Cells may be fanned out over processes via the
-CAUSALBANDIT_WORKERS environment variable; results are reduced in a fixed
-order either way.
+runs the strategy against a budget-capped environment on the trial's
+instance. All randomness is derived from the base seed through a 64-bit mix
+of the cell coordinates (see `mix_seed`), so reruns of the same config
+produce byte-identical reports. The table seed omits the strategy, so the
+sweep draws each table once, up front, per (budget, multiplier, table
+trial), and every strategy of that row of cells gets the same `Instance`
+objects in its payload; an instance's reward vector is computed by one sweep
+on first use and kept (`Instance.rewards`), so regret scoring runs once per
+table, not once per strategy. The graph is loaded once per sweep and the
+arms are built once per budget. Cells may be fanned out over processes via
+the CAUSALBANDIT_WORKERS environment variable, each worker scoring its own
+copy of a cell's instances; results are reduced in a fixed order either way.
+Cells where successive rejects could pull nothing (horizon at most the arm
+count) run as usual and are listed in `RegretReport.warnings`.
 """
 from __future__ import annotations
 
@@ -17,7 +22,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +32,7 @@ from .inference import SimulatedEnvironment
 from .model import (
     CausalDag,
     Instance,
+    InterventionSet,
     enumerate_budget_interventions,
     enumerate_root_interventions,
     make_binary_tree_dag,
@@ -215,10 +221,20 @@ class CellFailure:
     message: str
 
 
+@dataclass(frozen=True)
+class CellWarning:
+    """A cell that ran, but in a regime where its regret says little."""
+    budget: int
+    multiplier: int
+    strategy: str
+    message: str
+
+
 @dataclass
 class RegretReport:
     rows: list[RegretRow]
     failures: list[CellFailure]
+    warnings: list[CellWarning] = field(default_factory=list)
 
     CSV_HEADER = "instance,strategy,budget,horizon,trials,mean_regret,std_err,runtime_ms"
 
@@ -232,7 +248,10 @@ class RegretReport:
 
 
 def _run_trial(strategy: str, instance: Instance, horizon: int,
-               env_seed: int, draw_seed: int) -> float:
+               env_seed: int, draw_seed: int, elapsed: list | None = None) -> float:
+    """One trial's regret. The strategy's wall time in ms, without the regret
+    scoring, is appended to `elapsed` when it is given."""
+    start = time.perf_counter()
     env = SimulatedEnvironment(instance, env_seed, max_experiments=horizon)
     if strategy in PROPOSED:
         mode = "paper" if strategy == "proposed-paper" else "practical"
@@ -243,30 +262,37 @@ def _run_trial(strategy: str, instance: Instance, horizon: int,
         result = run_successive_rejects(env, instance.dag, instance.arms, horizon)
     else:
         result = run_uniform_baseline(env, instance.dag, instance.arms, horizon)
+    if elapsed is not None:
+        elapsed.append((time.perf_counter() - start) * 1000.0)
     return simple_regret(instance, [result.chosen])
 
 
+def _draw_instances(config: ExperimentConfig, dag: CausalDag, arms: InterventionSet,
+                    budget: int, multiplier: int) -> list[Instance]:
+    """The instance of each trial of a (budget, multiplier): trial t's table
+    from its own seed, or under `fix_alpha` trial 0's instance for all."""
+    drawn = [Instance(dag, random_conditional_table(
+                 dag, mix_seed(_TABLE_TAG, config.seed, budget, multiplier, t)), arms)
+             for t in range(1 if config.fix_alpha else config.trials)]
+    return drawn * config.trials if config.fix_alpha else drawn
+
+
 def _run_cell(payload):
-    config, label, dag, arms, budget, multiplier, strategy = payload
-    if isinstance(arms, ParameterError):
-        return CellFailure(budget, multiplier, strategy, str(arms))
-    horizon = multiplier * uncertain_rows(dag, arms)
+    config, label, budget, multiplier, strategy, instances = payload
+    if isinstance(instances, ParameterError):
+        return CellFailure(budget, multiplier, strategy, str(instances))
+    horizon = multiplier * uncertain_rows(instances[0].dag, instances[0].arms)
     strategy_id = STRATEGIES.index(strategy)
     regrets = []
     elapsed = []
     try:
-        for trial in range(config.trials):
-            table_trial = 0 if config.fix_alpha else trial
-            table = random_conditional_table(
-                dag, mix_seed(_TABLE_TAG, config.seed, budget, multiplier, table_trial))
-            instance = Instance(dag, table, arms)
+        for trial, instance in enumerate(instances):
             env_seed = mix_seed(_ENV_TAG, config.seed, budget, multiplier,
                                 strategy_id, trial)
             draw_seed = mix_seed(_DRAW_TAG, config.seed, budget, multiplier,
                                  strategy_id, trial)
-            start = time.perf_counter()
-            regrets.append(_run_trial(strategy, instance, horizon, env_seed, draw_seed))
-            elapsed.append((time.perf_counter() - start) * 1000.0)
+            regrets.append(_run_trial(strategy, instance, horizon, env_seed, draw_seed,
+                                      elapsed))
     except (BudgetError, ParameterError, CapacityError) as err:
         return CellFailure(budget, multiplier, strategy, str(err))
     vals = np.asarray(regrets)
@@ -285,13 +311,18 @@ def run_sweep(config: ExperimentConfig) -> RegretReport:
         raise ParameterError(
             f"CAUSALBANDIT_WORKERS expects an integer, got {text!r}") from None
     label, dag, targets = load_structure(config)
-    arms = {}
+    instances = {}
     for budget in config.budgets:
         try:
-            arms[budget] = build_arms(config, dag, targets, budget)
+            arms = build_arms(config, dag, targets, budget)
         except ParameterError as err:
-            arms[budget] = err  # reported by each of the budget's cells
-    payloads = [(config, label, dag, arms[budget], budget, multiplier, strategy)
+            # reported by each of the budget's cells
+            instances.update({(budget, m): err for m in config.multipliers})
+            continue
+        for multiplier in config.multipliers:
+            instances[budget, multiplier] = _draw_instances(config, dag, arms,
+                                                            budget, multiplier)
+    payloads = [(config, label, budget, multiplier, strategy, instances[budget, multiplier])
                 for budget in config.budgets
                 for multiplier in config.multipliers
                 for strategy in config.strategies]
@@ -303,9 +334,15 @@ def run_sweep(config: ExperimentConfig) -> RegretReport:
     else:
         outcomes = [_run_cell(p) for p in payloads]
     report = RegretReport([], [])
-    for outcome in outcomes:
+    for (_, _, budget, multiplier, strategy, cell), outcome in zip(payloads, outcomes):
         if isinstance(outcome, CellFailure):
             report.failures.append(outcome)
-        else:
-            report.rows.append(outcome)
+            continue
+        report.rows.append(outcome)
+        arm_count = len(cell[0].arms)
+        if strategy == "successive-rejects" and outcome.horizon <= arm_count:
+            report.warnings.append(CellWarning(
+                budget, multiplier, strategy,
+                f"horizon {outcome.horizon} is at most the arm count {arm_count}, "
+                "so successive rejects spent no experiments"))
     return report

@@ -195,6 +195,20 @@ def test_run_reports_failed_cells_on_stderr(capsys):
     assert len(out.strip().splitlines()) == 2
 
 
+def test_run_warns_when_successive_rejects_cannot_pull(capsys):
+    argv = ["run", "--set", "tree_height=4", "--set", "budgets=4",
+            "--set", "multipliers=3", "--set", "trials=1",
+            "--set", "strategies=successive-rejects,uniform"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    assert err == ("warning: budget=4 multiplier=3 strategy=successive-rejects: "
+                   "horizon 180 is at most the arm count 1820, so successive "
+                   "rejects spent no experiments\n")
+    lines = out.splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("tree-h4,successive-rejects,4,180,1,")
+
+
 def test_run_errors_when_every_cell_fails(capsys):
     code, _, err = run_cli(["run", "--set", "tree_height=2",
                             "--set", "budgets=4", "--set", "multipliers=3",

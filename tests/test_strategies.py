@@ -9,8 +9,11 @@ from causalbandit.model import (
     CausalDag,
     ConditionalTable,
     Instance,
+    Intervention,
     InterventionSet,
+    enumerate_budget_interventions,
     enumerate_root_interventions,
+    make_binary_tree_dag,
     random_conditional_table,
 )
 from causalbandit.strategies import (
@@ -21,7 +24,7 @@ from causalbandit.strategies import (
     simple_regret,
 )
 
-from conftest import random_instance
+from conftest import random_dag, random_instance
 
 
 def two_arm_chain():
@@ -150,6 +153,57 @@ def test_rejects_never_overspends(n_arms, horizon):
     assert 0 <= res.chosen_index < n_arms
 
 
+def _reference_successive_rejects(env, arms, horizon):
+    """The stage loop successive rejects ran before its pull-free stages
+    were retired in one sort: one argmin over the live means per stage."""
+    k = len(arms)
+    if horizon <= k:
+        return k - 1, np.zeros(k), 0
+    log_bar = 0.5 + sum(1.0 / i for i in range(2, k + 1))
+    sums = np.zeros(k)
+    pulls = np.zeros(k, dtype=np.int64)
+    active = np.ones(k, dtype=bool)
+    before = env.experiments_used
+    level = 0
+    for stage in range(1, k):
+        target = int(np.ceil((horizon - k) / (log_bar * (k + 1 - stage))))
+        add = max(0, target - level)
+        level = max(level, target)
+        live = np.flatnonzero(active)
+        if add > 0:
+            omega = env.intervene_many(arms.matrix[live], add * len(live))
+            sums[live] += omega[:, -1].reshape(len(live), add).sum(axis=1)
+            pulls[live] += add
+        means = np.where(pulls > 0, sums / np.maximum(pulls, 1), 0.0)
+        worst = live[int(np.argmin(means[live]))]
+        active[worst] = False
+    return int(np.flatnonzero(active)[0]), means, env.experiments_used - before
+
+
+def test_rejects_takes_the_reference_loops_steps():
+    rng = np.random.default_rng(2024)
+    for case in range(24):
+        k = int(rng.integers(2, 41))
+        inst = random_instance(rng, n_nodes=5, n_arms=k)
+        if case % 2:
+            # 0/1 rates make every reward deterministic, so the means tie
+            dag = random_dag(rng, 5)
+            table = ConditionalTable.from_success_probs(
+                [rng.integers(0, 2, dag.row_count(n)) for n in range(5)])
+            inst = Instance(dag, table, inst.arms)
+        for horizon in (k, k + 1, 2 * k, 9 * k):
+            seed = int(rng.integers(1 << 31))
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = run_successive_rejects(SimulatedEnvironment(inst, ours), inst.dag,
+                                         inst.arms, horizon)
+            want = _reference_successive_rejects(SimulatedEnvironment(inst, theirs),
+                                                 inst.arms, horizon)
+            where = f"case {case} k={k} horizon={horizon}"
+            assert (got.chosen_index, got.experiments_used) == (want[0], want[2]), where
+            assert got.mu_hat.tobytes() == want[1].tobytes(), where
+            assert ours.bit_generator.state == theirs.bit_generator.state, where
+
+
 def test_rejects_validation():
     inst = two_arm_chain()
     single = InterventionSet(inst.arms.matrix[:1])
@@ -168,6 +222,18 @@ def test_simple_regret_values():
     assert simple_regret(inst, [inst.arms[0], inst.arms[1]]) == pytest.approx(0.5)
     with pytest.raises(ParameterError):
         simple_regret(inst, [])
+
+
+def test_simple_regret_rejects_an_arm_outside_the_set():
+    dag = make_binary_tree_dag(2)
+    arms = enumerate_budget_interventions(dag.node_count, range(4), 1)
+    inst = Instance(dag, random_conditional_table(dag, 0), arms)
+    outside = Intervention((1, 1, 1, 1, FREE, FREE, FREE))
+    with pytest.raises(ParameterError, match=r"1111\*\*\*"):
+        simple_regret(inst, outside)
+    with pytest.raises(ParameterError, match="not in the instance's arm set"):
+        simple_regret(inst, [arms[0], Intervention((1, 0, 0))])
+    assert simple_regret(inst, arms[int(np.argmax(inst.rewards))]) == 0.0
 
 
 def test_regret_of_each_arm_is_its_gap_to_the_best():

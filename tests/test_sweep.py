@@ -11,6 +11,7 @@ from causalbandit.model import CausalDag, ConditionalTable, Instance, Interventi
 from causalbandit.sweep import (
     STRATEGIES,
     ExperimentConfig,
+    RegretReport,
     _run_trial,
     build_arms,
     config_from_mapping,
@@ -221,18 +222,71 @@ def test_fix_alpha_reuses_the_first_trial_table(monkeypatch):
         recorded.append(seed)
         return real(dag, seed)
 
+    scored = []
+    real_regret = sweep_module.simple_regret
+
+    def capturing(instance, chosen):
+        scored.append(instance)
+        return real_regret(instance, chosen)
+
     monkeypatch.setattr(sweep_module, "random_conditional_table", recording)
+    monkeypatch.setattr(sweep_module, "simple_regret", capturing)
     base = ExperimentConfig(tree_height=2, budgets=(1,), multipliers=(3,),
                             trials=3, strategies=("uniform",))
     run_sweep(base)
     varying = list(recorded)
     recorded.clear()
+    scored.clear()
     run_sweep(ExperimentConfig(tree_height=2, budgets=(1,), multipliers=(3,),
                                trials=3, strategies=("uniform",), fix_alpha=True))
     fixed = list(recorded)
     assert len(varying) == 3 and len(set(varying)) == 3
-    assert len(fixed) == 3 and len(set(fixed)) == 1
-    assert fixed[0] == varying[0]
+    # one table is drawn, from the first trial's seed, and every trial faces it
+    assert fixed == [varying[0]]
+    first = real(scored[0].dag, varying[0])
+    assert len(scored) == 3
+    for instance in scored:
+        assert all(np.array_equal(got, want)
+                   for got, want in zip(instance.table.rows, first.rows))
+
+
+def test_each_table_is_drawn_and_scored_once_for_every_strategy(monkeypatch):
+    from causalbandit import inference
+    tables, sweeps = [], []
+    real_table = sweep.random_conditional_table
+    real_sweep = inference.target_probabilities
+
+    def drawing(dag, seed):
+        tables.append(seed)
+        return real_table(dag, seed)
+
+    def scoring(table, dag, arms):
+        sweeps.append(len(arms))
+        return real_sweep(table, dag, arms)
+
+    config = ExperimentConfig(tree_height=2, budgets=(1,), multipliers=(3, 6),
+                              trials=2, strategies=STRATEGIES)
+    expected = run_sweep(config).to_csv()
+    monkeypatch.setattr(sweep, "random_conditional_table", drawing)
+    monkeypatch.setattr(inference, "target_probabilities", scoring)
+    report = run_sweep(config)
+    assert len(report.rows) == 8 and report.to_csv() == expected
+    assert len(tables) == 4 and len(set(tables)) == 4
+    assert sweeps == [4] * 4  # the whole arm set, once per table
+
+
+def test_successive_rejects_cells_without_pulls_are_warned_about():
+    # tree-h3: C = 28 rows, 28 arms at budget 2 and 56 at budget 3
+    config = ExperimentConfig(tree_height=3, budgets=(2, 3), multipliers=(1, 2, 3),
+                              trials=1, strategies=("successive-rejects", "uniform"))
+    report = run_sweep(config)
+    assert len(report.rows) == 12 and not report.failures
+    assert [(w.budget, w.multiplier, w.strategy) for w in report.warnings] == [
+        (2, 1, "successive-rejects"), (3, 1, "successive-rejects"),
+        (3, 2, "successive-rejects")]
+    assert "horizon 56 is at most the arm count 56" in report.warnings[2].message
+    assert len(report.to_csv().splitlines()) == 13
+    assert RegretReport([], []).warnings == []
 
 
 def test_degenerate_instance_gives_zero_regret_rows():
