@@ -7,10 +7,12 @@ with exponentiated-gradient steps on the active arm's subgradient. Feasible
 iterates are tracked, so the reported value is always an upper bound on the
 true optimum; a linearization bound gives the gap certificate.
 
-Each iteration makes one pass over the `(terms, arms)` arrays for the
-denominators (`values @ w`) and two vector-matrix products: the per-arm row
-sums `(1 / denom) @ numerators` and the active arm's subgradient
-`coef @ values`. It builds no `(terms, arms)` temporaries.
+A solve makes its term-length and arm-length buffers once, none sized by the
+iteration cap. Each iteration makes three products into them, the
+denominators `values @ w`, the per-arm row sums `(1 / denom) @ numerators`
+and the active arm's negated subgradient `coef @ values`, and updates the
+weights in place. It allocates no array data, except in the branch that
+handles a nonpositive denominator.
 
 `allocation_complexity` is the offset-free version built from an instance's
 true parent probabilities; its optimum is the instance's intrinsic difficulty
@@ -24,7 +26,7 @@ import numpy as np
 
 from .errors import IllPosedObjectiveError, ParameterError
 from .inference import parent_probabilities
-from .model import FREE, Instance
+from .model import Instance
 
 NUMERATOR_CUTOFF = 1e-15
 STEP_SCALE = 1.0  # exponentiated-gradient step size STEP_SCALE / sqrt(iteration)
@@ -57,6 +59,8 @@ class RatioObjective:
             raise ParameterError("an objective needs at least one arm")
         if self.offset.shape != (self.values.shape[0],):
             raise ParameterError("offset must have one entry per term row")
+        if not (np.isfinite(self.values).all() and np.isfinite(self.offset).all()):
+            raise ParameterError("values and offset must be finite")
         # numerators below the cutoff are dropped: they contribute nothing but
         # can make a zero denominator look ill-posed
         self.include = self.include & (self.values ** 2 >= NUMERATOR_CUTOFF)
@@ -81,14 +85,19 @@ class MinimizeResult:
     iterations: int
 
 
-def _row_sums(objective: RatioObjective, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-arm sums of numerator / denominator at the given weights, and the
-    denominators, with 1 in place of a dead row's nonpositive one."""
-    denom = objective.values @ weights + objective.offset
-    if np.any(objective._live & (denom <= 0.0)):
-        raise IllPosedObjectiveError("zero denominator on a term with a nonzero numerator")
-    denom = np.where(denom > 0.0, denom, 1.0)
-    return (1.0 / denom) @ objective._numer, denom
+def _row_sums(objective: RatioObjective, weights: np.ndarray, denom: np.ndarray,
+              inv: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Per-arm sums of numerator / denominator at the given weights, written
+    to `sums` and returned. Leaves the denominators in `denom`, with 1 in
+    place of a dead row's nonpositive one, and their reciprocals in `inv`."""
+    np.matmul(objective.values, weights, out=denom)
+    denom += objective.offset
+    if denom.size and not denom.min() > 0.0:  # NaN weights take this branch too
+        if np.any(objective._live & (denom <= 0.0)):
+            raise IllPosedObjectiveError("zero denominator on a term with a nonzero numerator")
+        denom[~(denom > 0.0)] = 1.0
+    np.divide(1.0, denom, out=inv)
+    return np.matmul(inv, objective._numer, out=sums)
 
 
 def evaluate(objective: RatioObjective, weights) -> tuple[float, int]:
@@ -97,14 +106,10 @@ def evaluate(objective: RatioObjective, weights) -> tuple[float, int]:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (objective.n_arms,):
         raise ParameterError(f"weights must have shape ({objective.n_arms},)")
-    vals, _ = _row_sums(objective, w)
+    t = objective.n_terms
+    vals = _row_sums(objective, w, np.empty(t), np.empty(t), np.empty(objective.n_arms))
     arg = int(np.argmax(vals))
     return float(vals[arg]), arg
-
-
-def _subgradient(objective: RatioObjective, denom: np.ndarray, active: int) -> np.ndarray:
-    coef = objective._numer[:, active] / denom ** 2
-    return -(coef @ objective.values)
 
 
 def _simplex_point(cand, k_arms: int) -> np.ndarray:
@@ -120,10 +125,18 @@ def minimize(objective: RatioObjective, config: SolverConfig | None = None,
              extra_starts=()) -> MinimizeResult:
     """Exponentiated-gradient descent from uniform weights; every candidate in
     `extra_starts`, each a point of the simplex, is also evaluated, and the
-    best feasible point wins."""
+    best feasible point wins.
+
+    The loop works on h = coef @ values, the negated subgradient g of the
+    active arm: min g = -max h, g.w = -(h.w), max|g| = max(max h, -min h) and
+    the step -eta g / max|g| = eta h / max|g|, each an exact sign flip.
+    """
     config = config or SolverConfig()
-    k_arms = objective.n_arms
+    k_arms, n_terms = objective.n_arms, objective.n_terms
     starts = [_simplex_point(cand, k_arms) for cand in extra_starts]
+    numer, values = objective._numer, objective.values
+    denom, inv, coef = np.empty(n_terms), np.empty(n_terms), np.empty(n_terms)
+    vals, h, step = np.empty(k_arms), np.empty(k_arms), np.empty(k_arms)
     w = np.full(k_arms, 1.0 / k_arms)
     best_w, best_val = w.copy(), np.inf
     best_lb = -np.inf
@@ -131,21 +144,28 @@ def minimize(objective: RatioObjective, config: SolverConfig | None = None,
     iters = 0
     for it in range(1, config.max_iters + 1):
         iters = it
-        vals, denom = _row_sums(objective, w)
+        _row_sums(objective, w, denom, inv, vals)
         active = int(np.argmax(vals))
         val = float(vals[active])
         if val < best_val:
-            best_val, best_w = val, w.copy()
-        g = _subgradient(objective, denom, active)
-        best_lb = max(best_lb, val + float(np.min(g)) - float(g @ w))
+            best_val = val
+            np.copyto(best_w, w)
+        np.square(denom, out=coef)
+        np.divide(numer[:, active], coef, out=coef)
+        np.matmul(coef, values, out=h)
+        h_max, h_min = float(h.max()), float(h.min())
+        best_lb = max(best_lb, val - h_max + float(h @ w))
         gap = best_val - best_lb
         if gap <= config.tolerance * max(abs(best_val), 1e-12):
             converged = True
             break
-        scale = np.max(np.abs(g))
+        scale = max(h_max, -h_min)
         if scale > 0:
-            w = w * np.exp(-(STEP_SCALE / np.sqrt(it)) * (g / scale))
-            w = w / w.sum()
+            np.divide(h, scale, out=step)
+            step *= STEP_SCALE / np.sqrt(it)
+            np.exp(step, out=step)
+            w *= step
+            w /= w.sum()
     for cand in starts:
         val, _ = evaluate(objective, cand)
         if val < best_val:
@@ -161,6 +181,7 @@ class AllocationResult:
     gap: float
     converged: bool
     n_terms: int
+    iterations: int
 
 
 def vote_share(best_arms, n_arms: int) -> np.ndarray:
@@ -179,20 +200,16 @@ def build_exact_objective(instance: Instance) -> tuple[RatioObjective, np.ndarra
     range.
     """
     dag, arms = instance.dag, instance.arms
-    free = arms.matrix.T == FREE  # (nodes, arms)
     rows = []
-    masks = []
     best = []
     for n in instance.uncertain_nodes:
+        # zero where the arm fixes n, so the objective's cutoff leaves
+        # exactly the arms that free n
         reach = parent_probabilities(instance.table, dag, n, arms)
         best.append(reach.argmax(axis=0))
-        for vec in reach.T:
-            keep = free[n] & (vec ** 2 >= NUMERATOR_CUTOFF)
-            if keep.any():
-                rows.append(vec)
-                masks.append(keep)
+        rows.extend(vec for vec in reach.T if (vec ** 2 >= NUMERATOR_CUTOFF).any())
     shape = (len(rows), len(arms))  # holds when no term survives, too
-    objective = RatioObjective(np.reshape(rows, shape), np.reshape(masks, shape),
+    objective = RatioObjective(np.reshape(rows, shape), np.ones(shape, dtype=bool),
                                np.zeros(len(rows)))
     return objective, vote_share(best, len(arms))
 
@@ -204,4 +221,4 @@ def allocation_complexity(instance: Instance,
     # an arm set that frees no uncertain node casts no votes: no start then
     res = minimize(objective, config, extra_starts=[counting] if counting.any() else [])
     return AllocationResult(res.value, res.weights, res.gap, res.converged,
-                            objective.n_terms)
+                            objective.n_terms, res.iterations)

@@ -90,6 +90,40 @@ def test_empty_objective_evaluates_to_zero():
     assert res.converged
 
 
+def test_minimize_sizes_nothing_by_the_iteration_cap():
+    # an iteration cap far beyond memory would fail any buffer sized by it
+    obj = RatioObjective(np.zeros((0, 3)), np.zeros((0, 3), dtype=bool), np.zeros(0))
+    res = minimize(obj, SolverConfig(max_iters=10**15))
+    assert res.converged and res.iterations == 1
+
+
+@pytest.mark.parametrize("values, offset", [
+    ([[0.5, np.nan]], [0.0]),
+    ([[0.5, np.inf]], [0.0]),
+    ([[0.5, 0.5]], [np.inf]),
+    ([[0.5, 0.5]], [np.nan]),
+])
+def test_objective_rejects_non_finite_inputs(values, offset):
+    # these used to solve to a "converged" value of inf or 0
+    with pytest.raises(ParameterError):
+        RatioObjective(values, np.ones((1, 2), dtype=bool), offset)
+
+
+def test_dead_row_with_zero_denominator_does_not_change_the_solve():
+    # the all-zero row is dead and its denominator is 0 at every iterate, so
+    # every iteration takes the branch that puts 1 in its place
+    values = np.array([[0.5, 0.25, 0.1], [0.1, 0.8, 0.3]])
+    include = np.array([[True, True, False], [False, True, True]])
+    offset = np.array([0.0, 0.05])
+    config = SolverConfig(max_iters=300)
+    want = minimize(RatioObjective(values, include, offset), config)
+    got = minimize(RatioObjective(np.vstack([values, np.zeros(3)]),
+                                  np.vstack([include, np.ones(3, dtype=bool)]),
+                                  np.append(offset, 0.0)), config)
+    assert np.array_equal(got.weights, want.weights)
+    assert (got.value, got.gap, got.iterations) == (want.value, want.gap, want.iterations)
+
+
 @pytest.mark.parametrize("k", [2, 3, 6])
 def test_minimize_indicator_terms_closed_form(k):
     # term i counts only for arm i with value 1: max_i 1/w_i, optimum k at uniform

@@ -9,14 +9,19 @@ on true, fully stochastic tables and the allocation solver that reads them.
 `golden_paper_phase2.json` pins paper-mode phase 2 at truncation scales where
 pairs survive into the allocation objective (the default scale, like 1e-4,
 truncates every pair on these instances, so the CSVs never reach a solve with
-terms). Replace a stored file only in a change that shows and explains the
+terms). `golden_gamma_solver.json` pins the allocation solver bit for bit at
+the benchmark's scale: the exact value and gap, the iteration count and a
+hash of the weights' bytes, as `json.dumps(solver_outputs(), indent=1)` wrote
+them. Replace a stored file only in a change that shows and explains the
 diff.
 """
+import hashlib
 import json
 import pathlib
 
 import pytest
 
+from causalbandit.allocation import SolverConfig, allocation_complexity
 from causalbandit.cli import main
 from causalbandit.inference import SimulatedEnvironment
 from causalbandit.model import Instance, random_conditional_table
@@ -93,3 +98,34 @@ def test_paper_phase2_matches_stored_numbers(name):
         assert list(got[scale]) == list(fields), f"{name} scale {scale}: fields differ"
         for field, value in fields.items():
             assert got[scale][field] == value, f"{name} scale {scale}: {field} differs"
+
+
+SOLVER_CASES = {
+    "tree_h4_b4": ExperimentConfig(source="tree", tree_height=4),
+    "alarm_b4": ExperimentConfig(source="bif", bif="alarm"),
+    "water_b4": ExperimentConfig(source="bif", bif="water"),
+}
+
+
+def solver_outputs():
+    """`allocation_complexity` with the default solver at budget 4, table seed
+    7, with floats as their repr and the weights as the sha256 of their bytes."""
+    out = {}
+    for name, config in SOLVER_CASES.items():
+        _, dag, targets = load_structure(config)
+        arms = build_arms(config, dag, targets, 4)
+        res = allocation_complexity(Instance(dag, random_conditional_table(dag, 7), arms),
+                                    SolverConfig())
+        out[name] = {
+            "value": repr(res.value),
+            "gap": repr(res.gap),
+            "iterations": res.iterations,
+            "converged": res.converged,
+            "weights_sha256": hashlib.sha256(res.weights.tobytes()).hexdigest(),
+        }
+    return out
+
+
+def test_gamma_solver_matches_stored_bits():
+    want = json.loads((DATA / "golden_gamma_solver.json").read_text(encoding="utf-8"))
+    assert solver_outputs() == want
