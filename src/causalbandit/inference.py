@@ -33,13 +33,21 @@ order (fewest added edges first, the lowest node on a tie). Each step
 multiplies the factors that hold the variable into one clique array and sums
 that variable's length-2 axis out; what is left is the output factor over n's
 parents, axes ascending, which one transpose puts in `dag.parents[n]` order.
-`width` is the largest clique, the output factor included. `_execute` then
-only multiplies and sums, on chunks of arms each sized so that one clique
-array holds at most max(STATE_BUDGET, 2^width) cells. Every arm's arithmetic
-is the same whatever the chunking, so results do not depend on it; the plan,
-and with it the last bits of an arm's result, does depend on the arm set.
-`CapacityError` is raised, before any array is built, only when one clique
-would span more than FRONTIER_LIMIT variables.
+`width` is the largest clique, the output factor included. A plan reads
+only the graph, n, the relevant nodes and which nodes some arm leaves free,
+so it is kept in a bounded cache under exactly that key and made once for
+every query that shares it (the relevant nodes are found on each call, since
+they depend on which rows sum to 1). `_execute` then only multiplies and
+sums, on chunks of arms each sized so that one clique array holds at most
+max(STATE_BUDGET, 2^width) cells. A factor is arm-free, one row broadcast
+over the chunk's arms, when every arm of the chunk leaves its node free and
+all the node's parents are variables; a message whose inputs are all
+arm-free is arm-free too, and so summed once per chunk. Every arm's
+arithmetic is the same whatever the chunking and broadcasting, so results
+do not depend on them; the plan, and with it the last bits of an arm's
+result, does depend on the arm set. `CapacityError` is raised, before any
+array is built, on every query whose plan has one clique spanning more than
+FRONTIER_LIMIT variables.
 
 Sampling has one entry point, `sample_batch`, whose rules are stated here
 only. It reads each node's parent row off `CausalDag.row_keys`, the
@@ -56,6 +64,7 @@ also charges the experiment ledger.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from typing import NamedTuple
@@ -77,6 +86,8 @@ from .model import (
 FRONTIER_LIMIT = 20
 STATE_BUDGET = 1 << 16  # cells of one clique array; the arm axis is chunked to fit
 BRUTE_FORCE_LIMIT = 20
+PLAN_CACHE_SIZE = 512  # sweep plans kept; one is at most about 14 KB on alarm
+CELL_CACHE_SIZE = 256  # cell-index tables of factors kept
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +152,10 @@ def brute_force_parent_probability(table: ConditionalTable, dag: CausalDag, n: i
 
 def _arm_matrix(arms, dag: CausalDag, n: int | None = None) -> np.ndarray:
     """The arms as an (arms, nodes) int8 matrix, checked against the graph
-    and, for a parent query, the queried node n."""
-    if isinstance(arms, InterventionSet):
+    and, for a parent query, the queried node n. An `InterventionSet`'s
+    entries were checked when it was made and its matrix is read-only."""
+    checked = isinstance(arms, InterventionSet)
+    if checked:
         m = arms.matrix
     elif isinstance(arms, Intervention):
         m = np.asarray([arms.values])
@@ -151,7 +164,7 @@ def _arm_matrix(arms, dag: CausalDag, n: int | None = None) -> np.ndarray:
         m = m[None, :] if m.ndim == 1 else m
     if m.ndim != 2 or m.shape[1] != dag.node_count:
         raise ParameterError("intervention length does not match the graph")
-    if not np.isin(m, (FREE, 0, 1)).all():
+    if not checked and not np.isin(m, (FREE, 0, 1)).all():
         raise ParameterError("intervention entries must be in {*, 0, 1}")
     if n is not None and not 0 <= n < dag.node_count:
         raise ParameterError(f"node {n} is not in the graph")
@@ -176,20 +189,13 @@ class _Plan(NamedTuple):
     width: int
 
 
-def _fill(adj: dict[int, set[int]], v: int) -> int:
-    """Edges that eliminating v would add between its neighbours."""
-    nb = adj[v]
-    return (len(nb) * (len(nb) - 1) - sum(len(adj[a] & nb) for a in nb)) // 2
-
-
 def _plan(table: ConditionalTable, dag: CausalDag, free_any: np.ndarray, n: int) -> _Plan:
     """Only nodes that can influence the answer are processed: n's parents,
     any node before n whose rows do not sum to 1 (sub-stochastic estimates
     must contribute their mass), and, transitively, parents of processed
     nodes that are free in at least one arm. Everything else marginalizes
     to exactly 1 and is skipped."""
-    keep = dag.parents[n]
-    relevant = set(keep)
+    relevant = set(dag.parents[n])
     relevant.update(np.flatnonzero(free_any[:n] & ~table.stochastic[:n]).tolist())
     work = list(relevant)
     while work:
@@ -199,11 +205,34 @@ def _plan(table: ConditionalTable, dag: CausalDag, free_any: np.ndarray, n: int)
                 if p not in relevant:
                     relevant.add(p)
                     work.append(p)
+    plan = _min_fill(dag, free_any.tobytes(), n, sum(1 << m for m in relevant))
+    if plan.width > FRONTIER_LIMIT:
+        raise CapacityError(f"largest clique {plan.width} exceeds limit {FRONTIER_LIMIT}")
+    return plan
 
+
+def _nodes(mask: int) -> list[int]:
+    """The nodes of a bitset, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _min_fill(dag: CausalDag, free_bytes: bytes, n: int, relevant: int) -> _Plan:
+    """The plan of the sweep for n over the relevant nodes, given which nodes
+    some arm leaves free (`free_bytes`, a bool array's bytes): the only
+    inputs it reads. Node sets are bitsets, bit u for node u."""
+    free_any = np.frombuffer(free_bytes, dtype=bool)
+    keep = dag.parents[n]
+    nodes = _nodes(relevant)
     # the variables: n's parents and the relevant nodes free in some arm
-    variables = {m for m in relevant if free_any[m]}.union(keep)
+    variables = {m for m in nodes if free_any[m]}.union(keep)
     factors = []
-    for m in sorted(relevant):
+    for m in nodes:
         if free_any[m]:
             scope = tuple(sorted({p for p in dag.parents[m] if p in variables} | {m}))
             sources = tuple(scope.index(p) if p in variables else None
@@ -215,20 +244,25 @@ def _plan(table: ConditionalTable, dag: CausalDag, free_any: np.ndarray, n: int)
         factors.append((m, scope, sources))
 
     def shape(scope, clique):
-        return tuple(2 if u in scope else 1 for u in clique)
+        return tuple(2 if scope >> u & 1 else 1 for u in clique)
 
-    adj: dict[int, set[int]] = {v: set() for v in variables}
+    adj = dict.fromkeys(variables, 0)
     live = {}                        # factor id -> scope, for the unconsumed ones
     holders: dict[int, list[int]] = {v: [] for v in variables}
-    for i, (_, scope, _) in enumerate(factors):
-        live[i] = scope
-        for v in scope:
-            adj[v].update(scope)
+    for i, (_, span, _) in enumerate(factors):
+        live[i] = scope = sum(1 << v for v in span)
+        for v in span:
+            adj[v] |= scope
             holders[v].append(i)
     for v in variables:
-        adj[v].discard(v)
+        adj[v] &= ~(1 << v)
 
-    score = {v: _fill(adj, v) for v in variables.difference(keep)}
+    def fill(v):  # edges that eliminating v would add between its neighbours
+        nb = adj[v]
+        d = nb.bit_count()
+        return (d * (d - 1) - sum((adj[a] & nb).bit_count() for a in _nodes(nb))) // 2
+
+    score = {v: fill(v) for v in variables.difference(keep)}
     heap = [(s, v) for v, s in score.items()]  # stale entries are skipped
     heapq.heapify(heap)
     steps, width = [], len(keep)
@@ -238,66 +272,95 @@ def _plan(table: ConditionalTable, dag: CausalDag, free_any: np.ndarray, n: int)
             continue
         del score[v]
         inputs = [i for i in holders.pop(v) if i in live]
-        clique = tuple(sorted(set().union(*(live[i] for i in inputs))))
+        joined = 0
+        for i in inputs:
+            joined |= live[i]
+        clique = _nodes(joined)
         width = max(width, len(clique))
         message = len(factors) + len(steps)
         steps.append((tuple((i, shape(live.pop(i), clique)) for i in inputs),
                       clique.index(v)))
-        live[message] = tuple(u for u in clique if u != v)
-        for u in live[message]:
-            holders[u].append(message)
+        live[message] = joined & ~(1 << v)
+        for u in clique:
+            if u != v:
+                holders[u].append(message)
         nb = adj.pop(v)
-        for a in nb:
-            adj[a].discard(v)
-            adj[a].update(nb - {a})
-        touched = nb.union(*(adj[a] for a in nb))
-        for u in touched.intersection(score):
-            score[u] = _fill(adj, u)
-            heapq.heappush(heap, (score[u], u))
-    if width > FRONTIER_LIMIT:
-        raise CapacityError(f"largest clique {width} exceeds limit {FRONTIER_LIMIT}")
+        touched = nb
+        for a in _nodes(nb):
+            adj[a] = (adj[a] | nb) & ~(1 << a | 1 << v)
+            touched |= adj[a]
+        for u in _nodes(touched):
+            if u in score:
+                score[u] = fill(u)
+                heapq.heappush(heap, (score[u], u))
     output = sorted(keep)  # the output factor's axes
     final = tuple((i, shape(scope, output)) for i, scope in sorted(live.items()))
     return _Plan(tuple(factors), tuple(steps), final, width)
 
 
-def _factor(table: ConditionalTable, dag: CausalDag, fixed: np.ndarray, m: int,
-            scope: tuple[int, ...], sources: tuple[int | None, ...] | None) -> np.ndarray:
-    """Node m's factor on one chunk of arms, shape (arms, 2^len(scope)): its
-    conditional value where the arm leaves m free, else the indicator of
-    the clamp."""
-    clamp = fixed[:, m, None]
-    cells = np.arange(1 << len(scope))
-    if sources is None:  # scope is (m,)
-        return (clamp == cells).astype(np.float64)
+@functools.lru_cache(maxsize=CELL_CACHE_SIZE)
+def _cells(width: int, sources: tuple[int | None, ...], pos: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two read-only tables of shape (1, 2^width), one entry per cell of a
+    factor over `width` variables: the cell's place in the node's flattened
+    (rows, 2) table, 2 x row + own bit, with the row counting only the
+    parents that are variables (`sources` as in `_Plan`; `_factor` adds the
+    bits of those read off the arm matrix); and the node's own bit, the
+    variable at position `pos`."""
+    cells = np.arange(1 << width)[None]
 
     def bit(j):
-        return (cells >> (len(scope) - 1 - j)) & 1
+        return (cells >> (width - 1 - j)) & 1
 
-    idx = 0
-    for p, j in zip(dag.parents[m], sources):
-        idx = (idx << 1) + (fixed[:, p, None] if j is None else bit(j))
-    v = bit(scope.index(m))
-    return np.where(clamp == FREE, table.rows[m][idx, v], clamp == v)
+    row = np.zeros_like(cells)
+    for j in sources:
+        row = (row << 1) + (0 if j is None else bit(j))
+    v = bit(pos)
+    flat = 2 * row + v
+    flat.flags.writeable = v.flags.writeable = False
+    return flat, v
+
+
+def _factor(table: ConditionalTable, dag: CausalDag, fixed: np.ndarray, every_free: list[bool],
+            m: int, scope: tuple[int, ...], sources: tuple[int | None, ...] | None) -> np.ndarray:
+    """Node m's factor on one chunk of arms, shape (arms, 2^len(scope)): its
+    conditional value where the arm leaves m free, else the indicator of
+    the clamp. It is arm-free, shape (1, 2^len(scope)), when every arm of
+    the chunk leaves m free and all m's parents are variables."""
+    clamp = fixed[:, m, None]
+    if sources is None:  # scope is (m,)
+        return (clamp == np.arange(2)).astype(np.float64)
+    flat, v = _cells(len(scope), sources, scope.index(m))
+    values = table.rows[m].ravel()
+    if every_free[m] and None not in sources:
+        return values[flat]
+    k = len(sources)
+    for i, (p, j) in enumerate(zip(dag.parents[m], sources)):
+        if j is None:  # p's clamp is row bit k-1-i, and flat counts the row twice
+            flat = flat + (fixed[:, p, None] << (k - i))
+    return np.where(clamp == FREE, values[flat], clamp == v)
 
 
 def _execute(plan: _Plan, table: ConditionalTable, dag: CausalDag, arms: np.ndarray,
              n: int) -> np.ndarray:
-    """Run the plan on one chunk of arms; see `_sweep` for the result."""
+    """Run the plan on one chunk of arms; see `_sweep` for the result. A
+    factor or message may have a leading axis of 1, arm-free, and then
+    broadcasts against the chunk's arms."""
     n_arms = arms.shape[0]
     fixed = arms.astype(np.int64)  # the clamps, wide enough to pack parent rows
+    every_free = (arms == FREE).all(axis=0).tolist()
     made = {}
 
     def take(i, shape):
-        f = made.pop(i) if i in made else _factor(table, dag, fixed, *plan.factors[i])
-        return f.reshape((n_arms,) + shape)
+        f = made.pop(i) if i in made else _factor(table, dag, fixed, every_free,
+                                                  *plan.factors[i])
+        return f.reshape((f.shape[0],) + shape)
 
     next_id = len(plan.factors)
     for inputs, axis in plan.steps:
         clique = take(*inputs[0])
         for i, shape in inputs[1:]:
             clique = clique * take(i, shape)
-        made[next_id] = clique.sum(axis=1 + axis)  # one length-2 axis
+        made[next_id] = np.add.reduce(clique, axis=1 + axis)  # one length-2 axis
         next_id += 1
 
     # the output factor spans n's parents in ascending order; put them in

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -329,6 +328,8 @@ def run_sweep(config: ExperimentConfig) -> RegretReport:
     # the pool starts every worker up front, so never more than there are cells
     workers = min(workers, len(payloads))
     if workers > 1:
+        # imported here: it loads multiprocessing, which a one-process run never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_cell, payloads))
     else:

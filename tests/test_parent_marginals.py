@@ -1,6 +1,9 @@
 """The sweeps against the brute-force oracles on random networks, phase 1's
-stored reach against a fresh sweep, the chunking of the arm axis, and the
-clique sizes of the elimination plans."""
+stored reach against a fresh sweep, the chunking of the arm axis, the
+clique sizes of the elimination plans and their cache, and the engine's
+plans and bits against a reference planner on Python sets that builds
+every factor per arm."""
+import heapq
 import itertools
 from contextlib import contextmanager
 
@@ -29,6 +32,7 @@ from causalbandit.model import (
     InterventionSet,
     ParentRealization,
     enumerate_root_interventions,
+    make_binary_tree_instance,
     random_conditional_table,
 )
 from causalbandit.phase1 import run_phase1
@@ -240,8 +244,9 @@ def test_wide_single_arm_raises_capacity_error():
     table = ConditionalTable.from_success_probs(
         [np.full(dag.row_count(n), 0.5) for n in range(dag.node_count)])
     arm = Intervention((FREE,) * dag.node_count)
-    with pytest.raises(CapacityError):
-        parent_probabilities(table, dag, wide, arm)
+    for _ in range(2):  # the plan is cached, and each call is checked again
+        with pytest.raises(CapacityError):
+            parent_probabilities(table, dag, wide, arm)
 
 
 def test_parentless_node_gets_a_prefix_mass_column():
@@ -252,3 +257,203 @@ def test_parentless_node_gets_a_prefix_mass_column():
     got = parent_probabilities(table, dag, 1, arms)
     assert got.shape == (3, 1)
     np.testing.assert_allclose(got[:, 0], [0.5, 1.0, 0.0])
+
+
+def test_identical_queries_plan_once():
+    table, dag, arms = alarm_case(2)
+    inference._min_fill.cache_clear()
+    first = parent_probabilities(table, dag, 30, arms)
+    again = parent_probabilities(table, dag, 30, arms)
+    info = inference._min_fill.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert np.array_equal(first, again)
+
+
+def test_a_sub_stochastic_prefix_row_changes_the_plan():
+    """Node 1 is no ancestor of node 3, so it is skipped while its rows sum
+    to 1; once a row is short its mass scales the answer, so it joins the
+    plan, which then differs from the cached one."""
+    dag = CausalDag(((), (), (0,), (2,)))
+    rows = [r.copy() for r in random_conditional_table(dag, 7).rows]
+    arms = InterventionSet([[FREE] * 4, [FREE, FREE, 1, FREE], [0, FREE, FREE, FREE]])
+    free_any = (arms.matrix == FREE).any(axis=0)
+    plans = []
+    for short in (False, True):
+        if short:
+            rows[1][0, 1] = 0.25 * rows[1][0, 1]
+        table = ConditionalTable(tuple(rows))
+        plans.append(inference._plan(table, dag, free_any, 3))
+        got = parent_probabilities(table, dag, 3, arms)
+        for a, arm in enumerate(arms):
+            for r in range(dag.row_count(3)):
+                pi = ParentRealization.from_index(dag.parents[3], r)
+                want = brute_force_parent_probability(table, dag, 3, pi, arm)
+                assert abs(got[a, r] - want) <= 1e-12
+    assert 1 not in {m for m, _, _ in plans[0].factors}
+    assert 1 in {m for m, _, _ in plans[1].factors}
+
+
+# ---------------------------------------------------------------------------
+# reference: an uncached min-fill planner on Python sets, and every factor
+# built per arm; the engine must give the same plans and the same bits
+
+
+def _ref_fill(adj, v):
+    nb = adj[v]
+    return (len(nb) * (len(nb) - 1) - sum(len(adj[a] & nb) for a in nb)) // 2
+
+
+def _ref_plan(table, dag, free_any, n):
+    keep = dag.parents[n]
+    relevant = set(keep)
+    relevant.update(np.flatnonzero(free_any[:n] & ~table.stochastic[:n]).tolist())
+    work = list(relevant)
+    while work:
+        m = work.pop()
+        if free_any[m]:
+            for p in dag.parents[m]:
+                if p not in relevant:
+                    relevant.add(p)
+                    work.append(p)
+    variables = {m for m in relevant if free_any[m]}.union(keep)
+    factors = []
+    for m in sorted(relevant):
+        if free_any[m]:
+            scope = tuple(sorted({p for p in dag.parents[m] if p in variables} | {m}))
+            sources = tuple(scope.index(p) if p in variables else None
+                            for p in dag.parents[m])
+        elif m in keep:
+            scope, sources = (m,), None
+        else:
+            continue
+        factors.append((m, scope, sources))
+
+    def shape(scope, clique):
+        return tuple(2 if u in scope else 1 for u in clique)
+
+    adj = {v: set() for v in variables}
+    live = {}
+    holders = {v: [] for v in variables}
+    for i, (_, scope, _) in enumerate(factors):
+        live[i] = scope
+        for v in scope:
+            adj[v].update(scope)
+            holders[v].append(i)
+    for v in variables:
+        adj[v].discard(v)
+    score = {v: _ref_fill(adj, v) for v in variables.difference(keep)}
+    heap = [(s, v) for v, s in score.items()]
+    heapq.heapify(heap)
+    steps, width = [], len(keep)
+    while heap:
+        s, v = heapq.heappop(heap)
+        if score.get(v) != s:
+            continue
+        del score[v]
+        inputs = [i for i in holders.pop(v) if i in live]
+        clique = tuple(sorted(set().union(*(live[i] for i in inputs))))
+        width = max(width, len(clique))
+        message = len(factors) + len(steps)
+        steps.append((tuple((i, shape(live.pop(i), clique)) for i in inputs),
+                      clique.index(v)))
+        live[message] = tuple(u for u in clique if u != v)
+        for u in live[message]:
+            holders[u].append(message)
+        nb = adj.pop(v)
+        for a in nb:
+            adj[a].discard(v)
+            adj[a].update(nb - {a})
+        touched = nb.union(*(adj[a] for a in nb))
+        for u in touched.intersection(score):
+            score[u] = _ref_fill(adj, u)
+            heapq.heappush(heap, (score[u], u))
+    if width > FRONTIER_LIMIT:
+        raise CapacityError(f"largest clique {width} exceeds limit {FRONTIER_LIMIT}")
+    output = sorted(keep)
+    final = tuple((i, shape(scope, output)) for i, scope in sorted(live.items()))
+    return inference._Plan(tuple(factors), tuple(steps), final, width)
+
+
+def _ref_factor(table, dag, fixed, m, scope, sources):
+    clamp = fixed[:, m, None]
+    cells = np.arange(1 << len(scope))
+    if sources is None:
+        return (clamp == cells).astype(np.float64)
+
+    def bit(j):
+        return (cells >> (len(scope) - 1 - j)) & 1
+
+    idx = 0
+    for p, j in zip(dag.parents[m], sources):
+        idx = (idx << 1) + (fixed[:, p, None] if j is None else bit(j))
+    v = bit(scope.index(m))
+    return np.where(clamp == FREE, table.rows[m][idx, v], clamp == v)
+
+
+def _ref_execute(plan, table, dag, arms, n):
+    n_arms = arms.shape[0]
+    fixed = arms.astype(np.int64)
+    made = {}
+
+    def take(i, shape):
+        f = made.pop(i) if i in made else _ref_factor(table, dag, fixed, *plan.factors[i])
+        return f.reshape((n_arms,) + shape)
+
+    next_id = len(plan.factors)
+    for inputs, axis in plan.steps:
+        clique = take(*inputs[0])
+        for i, shape in inputs[1:]:
+            clique = clique * take(i, shape)
+        made[next_id] = clique.sum(axis=1 + axis)
+        next_id += 1
+    keep = dag.parents[n]
+    state = np.ones((n_arms,) + (1,) * len(keep))
+    for i, shape in plan.final:
+        state = state * take(i, shape)
+    order = sorted(keep)
+    return state.transpose(0, *(1 + order.index(p) for p in keep)).reshape(n_arms, -1)
+
+
+def assert_matches_reference(table, dag, arms):
+    """Every sweep, the parent queries' and the target's (the last node's),
+    plans as the reference does and gives its bits."""
+    m = arms.matrix
+    free_any = (m == FREE).any(axis=0)
+    for n in range(dag.node_count):
+        plan = _ref_plan(table, dag, free_any, n)
+        assert inference._plan(table, dag, free_any, n) == plan
+        chunk = max(1, inference.STATE_BUDGET >> plan.width)
+        want = np.concatenate([_ref_execute(plan, table, dag, m[lo:lo + chunk], n)
+                               for lo in range(0, len(m), chunk)])
+        assert np.array_equal(inference._sweep(table, dag, m, n), want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks(max_arms=6))
+def test_engine_matches_reference_bitwise(net):
+    assert_matches_reference(*net)
+
+
+@pytest.mark.parametrize("name", sorted(WIDTH_CASES))
+def test_engine_matches_reference_bitwise_on_width_cases(name):
+    build, _ = WIDTH_CASES[name]
+    assert_matches_reference(*build())
+
+
+def phase1_case(name):
+    """The table practical-mode phase 1 leaves at budget 2, multiplier 3:
+    partly estimated, with rows it never saw left at zero."""
+    if name == "tree-h3":
+        inst = make_binary_tree_instance(3, 2, 11)
+    else:
+        dag, _ = to_causal_dag(load_bundled(name))
+        arms = enumerate_root_interventions(dag.node_count, dag.roots, 2)
+        inst = Instance(dag, random_conditional_table(dag, 11), arms)
+    p1 = run_phase1(SimulatedEnvironment(inst, 12), inst.dag, inst.arms, 0.0,
+                    3 * inst.uncertain_rows)
+    return p1.trimmed, inst.dag, inst.arms
+
+
+@pytest.mark.parametrize("name", ["tree-h3", "alarm", "water"])
+def test_engine_matches_reference_bitwise_on_phase1_tables(name):
+    assert_matches_reference(*phase1_case(name))

@@ -1,10 +1,15 @@
 """Sweep harness: seed mixing, config parsing, report shape, determinism."""
+import concurrent.futures
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import causalbandit
 from causalbandit import sweep
 from causalbandit.errors import ParameterError
 from causalbandit.model import CausalDag, ConditionalTable, Instance, InterventionSet
@@ -167,10 +172,22 @@ def test_worker_pool_is_never_larger_than_the_cell_count(monkeypatch):
                               trials=1, seed=3,
                               strategies=("uniform", "successive-rejects"))
     serial = run_sweep(config).to_csv()
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setenv("CAUSALBANDIT_WORKERS", "64")
     assert run_sweep(config).to_csv() == serial
     assert sizes == [2]
+
+
+def test_importing_the_package_loads_no_process_pool():
+    """Only a run with more than one worker imports the pool, and with it
+    multiprocessing."""
+    package_root = pathlib.Path(causalbandit.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, causalbandit; print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(package_root)})
+    assert proc.stdout.strip() == "False"
 
 
 def test_worker_pool_matches_serial_on_network_files(monkeypatch):
