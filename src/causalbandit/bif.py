@@ -6,6 +6,11 @@ labels, and the parent list of each probability block. Table numbers are
 required to be numeric and are then discarded, since downstream instances
 regenerate all conditional probabilities randomly. `property` lines and both
 comment styles are skipped.
+
+The text is read one token at a time, each token keeping only its offset;
+line and column are counted from it when an error is raised. In a probability
+block one pattern match checks the longest run of rows written as plain
+decimals, commas and spaces, and the token rules take over where it stops.
 """
 from __future__ import annotations
 
@@ -21,17 +26,27 @@ from .model import CausalDag
 # the end of the text. A word is whatever is no space, comment or punctuation,
 # up to a "//" or "/*". A plain decimal word is a number and a word that starts
 # with a letter no float starts with (all but i and n, for inf and nan) is a
-# name, both at once; any other word is a number when `float` reads it. The
-# pattern is compiled at the first parse (`re` caches it), not at import.
+# name, both at once; any other word is a number when `float` reads it.
+# `_ROWS` matches a run of probability rows parted by spaces alone: `table` or
+# `(` words and commas `)`, then commas and plain decimals (one at least), then
+# `;`. Its words end where tokens would, so it accepts only what the token rules
+# accept. Both are compiled at the first parse (`re` caches them), not at import.
 _WORD_CHAR = r"(?:[^ \t\r\n{}()\[\]|,;/] | /(?![/*]))"
+_DECIMAL = rf"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?!{_WORD_CHAR})"
 _TOKEN = rf"""
     (?:[ \t\r\n]+ | //[^\n]* | /\*.*?\*/)*
     (?: (?P<open>/\*)
       | (?P<punct>[{{}}()\[\]|,;])
-      | (?P<number>[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?(?!{_WORD_CHAR}))
+      | (?P<number>{_DECIMAL})
       | (?P<ident>[A-HJ-MO-Za-hj-mo-z_]{_WORD_CHAR}*)
       | (?P<word>{_WORD_CHAR}+)
       | \Z)
+"""
+_ROWS = rf"""(?: [ \t\r\n]*
+    (?: table(?!{_WORD_CHAR})
+      | \( (?:[ \t\r\n]* (?:{_WORD_CHAR}+(?!{_WORD_CHAR}) | ,))* [ \t\r\n]* \) )
+    (?:[ \t\r\n]* ,)* [ \t\r\n]* {_DECIMAL}
+    (?:[ \t\r\n]* (?:{_DECIMAL} | ,))* [ \t\r\n]* ; )*
 """
 
 
@@ -43,94 +58,86 @@ def _is_number(word: str) -> bool:
     return True
 
 
-def _tokenize(text: str):
-    tokens = []
-    line, line_start, last = 1, 0, 0
-    next_newline = text.find("\n") % (len(text) + 1)  # past the end when there is none
-    for m in re.finditer(_TOKEN, text, re.VERBOSE | re.DOTALL):
+class _Scanner:
+    """The text read one token at a time. The next token is `kind`, `word` and
+    `at`, its offset; `kind` is None at the end, where `at` is the end of the
+    last token. Line and column are counted from an offset only on error."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self._token = re.compile(_TOKEN, re.VERBOSE | re.DOTALL)
+        self._rows = re.compile(_ROWS, re.VERBOSE)
+        self.end = 0  # where the last token taken ends
+        self._read()
+
+    def _read(self):
+        m = self._token.match(self.text, self.end)
         kind = m.lastgroup
         if kind is None:  # only spaces and comments were left
-            break
-        start = m.start(kind)
-        if start > next_newline:  # tokens hold no newline, so the skipped text has them all
-            line += text.count("\n", last, start)
-            line_start = text.rfind("\n", last, start) + 1
-            next_newline = text.find("\n", start) % (len(text) + 1)
-        last = start
+            self.kind, self.word, self.at = None, None, self.end
+            return
         if kind == "open":
-            raise BifParseError("unterminated block comment", line, start - line_start + 1)
-        word = m[kind]
+            self.fail("unterminated block comment", m.start(kind))
+        self.word, self.at, self._next = m[kind], m.start(kind), m.end()
         if kind == "word":
-            kind = "number" if _is_number(word) else "ident"
-        tokens.append((kind, word, line, start - line_start + 1))
-    return tokens
+            kind = "number" if _is_number(self.word) else "ident"
+        self.kind = kind
 
-
-class _Cursor:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
-
-    def _where(self):
-        if self.pos < len(self.tokens):
-            _, _, line, col = self.tokens[self.pos]
-        elif self.tokens:
-            _, text, line, col = self.tokens[-1]
-            col += len(text)
-        else:
-            line, col = 1, 1
-        return line, col
-
-    def fail(self, message):
-        line, col = self._where()
-        raise BifParseError(message, line, col)
-
-    @property
-    def done(self):
-        return self.pos >= len(self.tokens)
+    def fail(self, message, at=None):
+        """Raise at offset `at`, by default the next token's. An unterminated
+        block comment past `end` is raised instead: a text must tokenize before
+        its grammar is judged."""
+        at = self.at if at is None else at
+        last = next(m for m in self._token.finditer(self.text, self.end)
+                    if m.lastgroup in ("open", None))
+        if last.lastgroup == "open":
+            message, at = "unterminated block comment", last.start("open")
+        line_start = self.text.rfind("\n", 0, at) + 1
+        raise BifParseError(message, self.text.count("\n", 0, at) + 1, at - line_start + 1)
 
     def peek(self):
-        if self.done:
+        if self.kind is None:
             self.fail("unexpected end of input")
-        return self.tokens[self.pos]
+        return self.kind, self.word, self.at
 
     def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
+        token = self.peek()
+        self.end = self._next
+        self._read()
+        return token
 
     def expect_punct(self, ch):
-        kind, text, _, _ = self.peek()
-        if kind != "punct" or text != ch:
-            self.fail(f"expected {ch!r}, found {text!r}")
-        return self.take()
+        kind, word, _ = self.peek()
+        if kind != "punct" or word != ch:
+            self.fail(f"expected {ch!r}, found {word!r}")
+        self.take()
 
     def expect_word(self, expected):
-        kind, text, _, _ = self.peek()
-        if text != expected:
-            self.fail(f"expected {expected!r}, found {text!r}")
-        return self.take()
+        if self.peek()[1] != expected:
+            self.fail(f"expected {expected!r}, found {self.word!r}")
+        self.take()
 
     def expect_name(self):
-        kind, text, _, _ = self.peek()
+        kind, word, at = self.peek()
         if kind != "ident":
-            self.fail(f"expected a name, found {text!r}")
-        return self.take()
+            self.fail(f"expected a name, found {word!r}")
+        self.take()
+        return word, at
 
     def match_punct(self, ch):
-        if not self.done:
-            kind, text, _, _ = self.tokens[self.pos]
-            if kind == "punct" and text == ch:
-                self.pos += 1
-                return True
+        if self.kind == "punct" and self.word == ch:
+            self.take()
+            return True
         return False
 
     def skip_property(self):
         # `property` runs to the next semicolon, content arbitrary
-        while True:
-            kind, text, _, _ = self.take()
-            if kind == "punct" and text == ";":
-                return
+        while self.take()[:2] != ("punct", ";"):
+            pass
+
+    def skip_rows(self):
+        self.end = self._rows.match(self.text, self.end).end()
+        self._read()
 
 
 @dataclass(frozen=True)
@@ -162,72 +169,68 @@ class BifNetwork:
         return tuple(v.name for v in self.variables if not self.parent_map[v.name])
 
 
-def _parse_variable(cur: _Cursor, declared: dict[str, BifVariable]):
-    _, name, line, col = cur.expect_name()
+def _parse_variable(cur: _Scanner, declared: dict[str, BifVariable]):
+    name, at = cur.expect_name()
     if name in declared:
-        raise BifParseError(f"variable {name!r} declared twice", line, col)
+        cur.fail(f"variable {name!r} declared twice", at)
     cur.expect_punct("{")
     states = None
     while not cur.match_punct("}"):
-        kind, word, wline, wcol = cur.peek()
+        _, word, _ = cur.peek()
         if word == "property":
             cur.take()
             cur.skip_property()
             continue
         if word != "type":
-            raise BifParseError(f"unknown keyword {word!r} in variable block",
-                                wline, wcol)
+            cur.fail(f"unknown keyword {word!r} in variable block")
         cur.take()
         cur.expect_word("discrete")
         cur.expect_punct("[")
-        kind, count_text, cline, ccol = cur.take()
+        kind, count_text, count_at = cur.take()
         if kind != "number" or not float(count_text).is_integer():
-            raise BifParseError(f"expected a state count, found {count_text!r}",
-                                cline, ccol)
+            cur.fail(f"expected a state count, found {count_text!r}", count_at)
         count = int(float(count_text))
         cur.expect_punct("]")
         cur.expect_punct("{")
-        labels = []
-        while True:
-            _, label, _, _ = cur.take()
-            labels.append(label)
-            if not cur.match_punct(","):
-                break
+        labels = [cur.take()[1]]
+        while cur.match_punct(","):
+            labels.append(cur.take()[1])
         cur.expect_punct("}")
         cur.expect_punct(";")
         if count != len(labels) or count < 1:
-            raise BifParseError(
-                f"variable {name!r} declares {count} states but lists {len(labels)}",
-                cline, ccol)
+            cur.fail(f"variable {name!r} declares {count} states but lists {len(labels)}",
+                     count_at)
         states = tuple(labels)
     if states is None:
-        raise BifParseError(f"variable {name!r} has no type clause", line, col)
+        cur.fail(f"variable {name!r} has no type clause", at)
     declared[name] = BifVariable(name, states)
 
 
-def _parse_probability(cur: _Cursor, declared, parent_map, block_pos):
+def _parse_probability(cur: _Scanner, declared, parent_map, block_at):
     cur.expect_punct("(")
-    _, child, line, col = cur.expect_name()
+    child, at = cur.expect_name()
     if child not in declared:
-        raise BifParseError(f"probability block for undeclared variable {child!r}",
-                            line, col)
+        cur.fail(f"probability block for undeclared variable {child!r}", at)
     if child in parent_map:
-        raise BifParseError(f"second probability block for {child!r}", line, col)
+        cur.fail(f"second probability block for {child!r}", at)
     parents = []
     if cur.match_punct("|"):
         while True:
-            _, pname, pline, pcol = cur.expect_name()
+            pname, p_at = cur.expect_name()
             if pname not in declared:
-                raise BifParseError(f"unresolved parent name {pname!r}", pline, pcol)
+                cur.fail(f"unresolved parent name {pname!r}", p_at)
             if pname in parents or pname == child:
-                raise BifParseError(f"repeated parent {pname!r}", pline, pcol)
+                cur.fail(f"repeated parent {pname!r}", p_at)
             parents.append(pname)
             if not cur.match_punct(","):
                 break
     cur.expect_punct(")")
     cur.expect_punct("{")
-    while not cur.match_punct("}"):
-        kind, word, wline, wcol = cur.peek()
+    while True:
+        cur.skip_rows()
+        if cur.match_punct("}"):
+            break
+        kind, word, _ = cur.peek()
         if word == "property":
             cur.take()
             cur.skip_property()
@@ -240,24 +243,22 @@ def _parse_probability(cur: _Cursor, declared, parent_map, block_pos):
             while not cur.match_punct(")"):
                 cur.take()
         else:
-            raise BifParseError(f"unknown keyword {word!r} in probability block",
-                                wline, wcol)
+            cur.fail(f"unknown keyword {word!r} in probability block")
         # the numeric entries themselves are validated and dropped
         saw_number = False
         while True:
-            kind, word, wline, wcol = cur.take()
+            kind, word, entry_at = cur.take()
             if kind == "punct" and word == ";":
                 break
             if kind == "punct" and word == ",":
                 continue
             if kind != "number":
-                raise BifParseError(f"expected a numeric entry, found {word!r}",
-                                    wline, wcol)
+                cur.fail(f"expected a numeric entry, found {word!r}", entry_at)
             saw_number = True
         if not saw_number:
-            raise BifParseError("probability row lists no numbers", wline, wcol)
+            cur.fail("probability row lists no numbers", entry_at)
     parent_map[child] = tuple(parents)
-    block_pos[child] = (line, col)
+    block_at[child] = at
 
 
 def _topological_order(names, parent_map) -> list[str]:
@@ -283,39 +284,33 @@ def _topological_order(names, parent_map) -> list[str]:
 
 
 def parse_bif(text: str) -> BifNetwork:
-    cur = _Cursor(_tokenize(text))
+    cur = _Scanner(text)
     cur.expect_word("network")
-    _, net_name, _, _ = cur.expect_name()
+    net_name, _ = cur.expect_name()
     cur.expect_punct("{")
     while not cur.match_punct("}"):
-        kind, word, wline, wcol = cur.peek()
-        if word == "property":
-            cur.take()
-            cur.skip_property()
-        else:
-            raise BifParseError(f"unknown keyword {word!r} in network block",
-                                wline, wcol)
+        if cur.peek()[1] != "property":
+            cur.fail(f"unknown keyword {cur.word!r} in network block")
+        cur.take()
+        cur.skip_property()
     declared: dict[str, BifVariable] = {}
     parent_map: dict[str, tuple[str, ...]] = {}
-    block_pos: dict[str, tuple[int, int]] = {}
-    while not cur.done:
-        kind, word, wline, wcol = cur.peek()
+    block_at: dict[str, int] = {}
+    while cur.kind is not None:
+        _, word, at = cur.take()
         if word == "variable":
-            cur.take()
             _parse_variable(cur, declared)
         elif word == "probability":
-            cur.take()
-            _parse_probability(cur, declared, parent_map, block_pos)
+            _parse_probability(cur, declared, parent_map, block_at)
         else:
-            raise BifParseError(f"unknown keyword {word!r}", wline, wcol)
+            cur.fail(f"unknown keyword {word!r}", at)
     names = tuple(declared)
     for name in names:
         parent_map.setdefault(name, ())
     ordered = set(_topological_order(names, parent_map))
     stuck = [n for n in names if n not in ordered]
     if stuck:
-        line, col = block_pos.get(stuck[0], (1, 1))
-        raise BifParseError(f"cycle through variable {stuck[0]!r}", line, col)
+        cur.fail(f"cycle through variable {stuck[0]!r}", block_at[stuck[0]])
     return BifNetwork(net_name, tuple(declared.values()), parent_map)
 
 
@@ -359,5 +354,9 @@ def format_bif(net: BifNetwork) -> str:
 
 def load_bundled(name: str) -> BifNetwork:
     """Parse one of the network files shipped inside the package."""
-    path = resources.files("causalbandit").joinpath("data", f"{name}.bif")
-    return parse_bif(path.read_text())
+    data = resources.files("causalbandit").joinpath("data")
+    if not data.joinpath(f"{name}.bif").is_file():
+        bundled = sorted(p.name[:-4] for p in data.iterdir() if p.name.endswith(".bif"))
+        raise FileNotFoundError(f"{name!r} is neither a file nor a bundled network "
+                                f"({', '.join(bundled)})")
+    return parse_bif(data.joinpath(f"{name}.bif").read_text())

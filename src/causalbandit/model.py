@@ -107,6 +107,18 @@ class ParentRealization:
         return idx
 
 
+def _frozen_rows(rows) -> np.ndarray:
+    arr = np.array(rows, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ParameterError("each table must have shape (2^k, 2)")
+    arr.flags.writeable = False
+    return arr
+
+
+def _sums_to_one(rows: np.ndarray) -> np.ndarray:
+    return np.abs(rows.sum(axis=1) - 1.0) <= 1e-9
+
+
 @dataclass(frozen=True)
 class ConditionalTable:
     """Per-node conditional probabilities: rows[n][i, v] = P(node n = v | parents = i).
@@ -118,15 +130,19 @@ class ConditionalTable:
     rows: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        frozen = []
-        for r in self.rows:
-            arr = np.asarray(r, dtype=np.float64)
-            if arr.ndim != 2 or arr.shape[1] != 2:
-                raise ParameterError("each table must have shape (2^k, 2)")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            frozen.append(arr)
-        object.__setattr__(self, "rows", tuple(frozen))
+        object.__setattr__(self, "rows", tuple(_frozen_rows(r) for r in self.rows))
+
+    def with_node(self, n: int, rows) -> "ConditionalTable":
+        """This table with node n's rows replaced by a read-only copy of `rows`.
+        The other nodes' read-only arrays are shared, and `stochastic` is
+        checked again at n alone."""
+        frozen = _frozen_rows(rows)
+        stochastic = self.stochastic.copy()
+        stochastic[n] = _sums_to_one(frozen).all()
+        table = object.__new__(type(self))
+        object.__setattr__(table, "rows", self.rows[:n] + (frozen,) + self.rows[n + 1:])
+        table.__dict__["stochastic"] = stochastic
+        return table
 
     @classmethod
     def from_success_probs(cls, success) -> "ConditionalTable":
@@ -140,7 +156,7 @@ class ConditionalTable:
     @cached_property
     def stochastic(self) -> np.ndarray:
         """Per node, whether every row sums to 1 within 1e-9."""
-        ok = np.abs(np.concatenate(self.rows).sum(axis=1) - 1.0) <= 1e-9
+        ok = _sums_to_one(np.concatenate(self.rows))
         return np.logical_and.reduceat(ok, np.cumsum([0] + [len(r) for r in self.rows[:-1]]))
 
 
@@ -276,8 +292,8 @@ def validate(dag: CausalDag, table: ConditionalTable | None = None,
             bad.append(f"node {n}: topological order violated by parent list {ps}")
         if any(p < 0 for p in ps):
             bad.append(f"node {n}: negative parent index")
-        if list(ps) != sorted(set(ps)):
-            bad.append(f"node {n}: parent list not sorted/duplicate-free")
+        if len(set(ps)) != len(ps):
+            bad.append(f"node {n}: duplicate parent in {ps}")
     if table is not None:
         if len(table.rows) != n_nodes:
             bad.append(f"table covers {len(table.rows)} nodes, graph has {n_nodes}")

@@ -123,7 +123,7 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
                  if trunc_scale > 0 else 0.0)
 
     rows = [dag.row_count(n) for n in range(dag.node_count)]
-    working = [np.zeros((r, 2)) for r in rows]
+    table = ConditionalTable(tuple(np.zeros((r, 2)) for r in rows))
     unreliable = [np.zeros((r, 2), dtype=bool) for r in rows]
     rare = [np.zeros((r, 2), dtype=bool) for r in rows]
     own = np.zeros((dag.total_rows, 2), dtype=np.int64)  # each pair's row of its own batch
@@ -135,7 +135,7 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
     matrix = arms.matrix
     for n in uncertain:
         # the query reads only nodes before n, so one per node serves every row
-        reach[n] = parent_probabilities(ConditionalTable(tuple(working)), dag, n, arms)
+        reach[n] = parent_probabilities(table, dag, n, arms)
         best_arm[n] = np.argmax(reach[n], axis=0)
         best_value[n] = reach[n][best_arm[n], np.arange(rows[n])]
         # every row's batch in one call; row r's are the per_pair draws from r * per_pair
@@ -151,7 +151,7 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
         est = rate_estimates(own[lo:hi].sum(axis=1), own[lo:hi, 1])
         if trunc_scale > 0:
             unreliable[n] = est * best_value[n][:, None] <= 2.0 * math.e * threshold
-        working[n] = np.where(unreliable[n], 0.0, est)
+        table = table.with_node(n, np.where(unreliable[n], 0.0, est))
 
     if trunc_scale > 0:
         rare_cut = 8.0 * math.e * total_rows ** 2 * threshold
@@ -161,7 +161,7 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
     return Phase1Result(
         dag=dag,
         arms=arms,
-        trimmed=ConditionalTable(tuple(working)),
+        trimmed=table,
         truncation=TruncationSets(tuple(unreliable), tuple(rare)),
         seen=dag.split_rows(own.sum(axis=1)),
         seen_one=dag.split_rows(own[:, 1]),

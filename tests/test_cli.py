@@ -105,6 +105,18 @@ def test_parse_bif_missing_file_is_data_error(capsys):
     assert "data error" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--set", "source=bif", "--set", "bif=alarmx"],
+    ["gamma", "--bif", "alarmx"],
+    ["gen", "--bif", "alarmx"],
+])
+def test_unknown_network_name_is_data_error(argv, capsys):
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err == ("data error: 'alarmx' is neither a file nor a bundled network "
+                   "(alarm, water)\n")
+
+
 def test_parse_bif_malformed_file_is_data_error(tmp_path, capsys):
     bad = tmp_path / "bad.bif"
     bad.write_text("network broken { unclosed")

@@ -42,6 +42,30 @@ def test_validate_flags_topological_order():
     assert any("topological" in v for v in report.violations)
 
 
+def test_validate_accepts_unsorted_parents_and_flags_duplicates():
+    # the engine reads parents in any order, so only a repeated parent is flagged
+    assert validate(CausalDag(((), (), (1, 0)))).ok
+    report = validate(CausalDag(((), (0,), (1, 1))))
+    assert report.violations == ["node 2: duplicate parent in (1, 1)"]
+
+
+def test_with_node_matches_a_fresh_table():
+    dag = random_dag(np.random.default_rng(3), 6)
+    table = random_conditional_table(dag, 4)
+    for n, rows in [(2, np.full((dag.row_count(2), 2), 0.25)),
+                    (5, np.tile([0.3, 0.7], (dag.row_count(5), 1)))]:
+        changed = table.with_node(n, rows)
+        fresh = ConditionalTable(table.rows[:n] + (rows,) + table.rows[n + 1:])
+        assert all(np.array_equal(a, b) for a, b in zip(changed.rows, fresh.rows))
+        assert np.array_equal(changed.stochastic, fresh.stochastic)
+        assert changed.stochastic is not table.stochastic
+        assert not any(r.flags.writeable for r in changed.rows)
+        rows[:] = 0.0  # the caller's array is copied, not shared
+        assert changed.rows[n].sum() == fresh.rows[n].sum() > 0
+        table = changed
+    assert not table.stochastic[2] and table.stochastic[5]
+
+
 def test_validate_flags_complement_sum():
     dag = chain_dag()
     rows = [np.array([[0.5, 0.5]]), np.array([[0.7, 0.3], [0.2, 0.8]]),
