@@ -8,11 +8,11 @@ iterates are tracked, so the reported value is always an upper bound on the
 true optimum; a linearization bound gives the gap certificate.
 
 A solve makes its term-length and arm-length buffers once, none sized by the
-iteration cap. Each iteration makes three products into them, the
+iteration cap. Each iteration makes three BLAS products into them, the
 denominators `values @ w`, the per-arm row sums `(1 / denom) @ numerators`
-and the active arm's negated subgradient `coef @ values`, and updates the
-weights in place. It allocates no array data, except in the branch that
-handles a nonpositive denominator.
+and the active arm's negated subgradient `coef @ values`; the rest is the dot
+h.w, five ufunc reductions and eight elementwise passes, nine with an offset.
+It allocates no array data, except in the branch for a nonpositive denominator.
 
 `allocation_complexity` is the offset-free version built from an instance's
 true parent probabilities; its optimum is the instance's intrinsic difficulty
@@ -20,6 +20,7 @@ constant.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +39,11 @@ class SolverConfig:
     tolerance: float = 1e-4       # relative duality-gap target
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ParameterError(f"max_iters must be at least 1, got {self.max_iters}")
+        if (not isinstance(self.max_iters, (int, np.integer)) or isinstance(self.max_iters, bool)
+                or self.max_iters < 1):
+            raise ParameterError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not np.isfinite(self.tolerance) or self.tolerance < 0:
-            raise ParameterError(
-                f"tolerance must be finite and nonnegative, got {self.tolerance}")
+            raise ParameterError(f"tolerance must be finite and nonnegative, got {self.tolerance}")
 
 
 class RatioObjective:
@@ -50,7 +51,8 @@ class RatioObjective:
     which arms' inner sums the row belongs to."""
 
     def __init__(self, values, include, offset):
-        self.values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
+        self.values = values if values.flags.forc else values.copy()  # BLAS-ready
         self.include = np.asarray(include, dtype=bool)
         self.offset = np.asarray(offset, dtype=np.float64)
         if self.values.ndim != 2 or self.include.shape != self.values.shape:
@@ -66,6 +68,7 @@ class RatioObjective:
         self.include = self.include & (self.values ** 2 >= NUMERATOR_CUTOFF)
         self._numer = self.values ** 2 * self.include
         self._live = self.include.any(axis=1)
+        self._shifted = bool(self.offset.any())  # x + 0.0 is x, but for -0.0
 
     @property
     def n_arms(self) -> int:
@@ -90,14 +93,15 @@ def _row_sums(objective: RatioObjective, weights: np.ndarray, denom: np.ndarray,
     """Per-arm sums of numerator / denominator at the given weights, written
     to `sums` and returned. Leaves the denominators in `denom`, with 1 in
     place of a dead row's nonpositive one, and their reciprocals in `inv`."""
-    np.matmul(objective.values, weights, out=denom)
-    denom += objective.offset
-    if denom.size and not denom.min() > 0.0:  # NaN weights take this branch too
+    np.dot(objective.values, weights, out=denom)
+    if objective._shifted:  # a -0.0 left by the skip takes the next branch
+        denom += objective.offset
+    if denom.size and not np.minimum.reduce(denom) > 0.0:  # NaN weights too
         if np.any(objective._live & (denom <= 0.0)):
             raise IllPosedObjectiveError("zero denominator on a term with a nonzero numerator")
         denom[~(denom > 0.0)] = 1.0
     np.divide(1.0, denom, out=inv)
-    return np.matmul(inv, objective._numer, out=sums)
+    return np.dot(inv, objective._numer, out=sums)
 
 
 def evaluate(objective: RatioObjective, weights) -> tuple[float, int]:
@@ -108,7 +112,7 @@ def evaluate(objective: RatioObjective, weights) -> tuple[float, int]:
         raise ParameterError(f"weights must have shape ({objective.n_arms},)")
     t = objective.n_terms
     vals = _row_sums(objective, w, np.empty(t), np.empty(t), np.empty(objective.n_arms))
-    arg = int(np.argmax(vals))
+    arg = int(vals.argmax())
     return float(vals[arg]), arg
 
 
@@ -138,40 +142,36 @@ def minimize(objective: RatioObjective, config: SolverConfig | None = None,
     denom, inv, coef = np.empty(n_terms), np.empty(n_terms), np.empty(n_terms)
     vals, h, step = np.empty(k_arms), np.empty(k_arms), np.empty(k_arms)
     w = np.full(k_arms, 1.0 / k_arms)
-    best_w, best_val = w.copy(), np.inf
-    best_lb = -np.inf
+    best_w, best_val, best_lb = w.copy(), np.inf, -np.inf
     converged = False
-    iters = 0
-    for it in range(1, config.max_iters + 1):
-        iters = it
+    for it in range(1, config.max_iters + 1):  # max_iters >= 1, so `it` ends bound
         _row_sums(objective, w, denom, inv, vals)
-        active = int(np.argmax(vals))
+        active = int(vals.argmax())
         val = float(vals[active])
         if val < best_val:
             best_val = val
             np.copyto(best_w, w)
         np.square(denom, out=coef)
         np.divide(numer[:, active], coef, out=coef)
-        np.matmul(coef, values, out=h)
-        h_max, h_min = float(h.max()), float(h.min())
-        best_lb = max(best_lb, val - h_max + float(h @ w))
-        gap = best_val - best_lb
-        if gap <= config.tolerance * max(abs(best_val), 1e-12):
+        np.dot(coef, values, out=h)
+        h_max = float(np.maximum.reduce(h))
+        best_lb = max(best_lb, val - h_max + float(np.dot(h, w)))
+        if best_val - best_lb <= config.tolerance * max(abs(best_val), 1e-12):
             converged = True
             break
-        scale = max(h_max, -h_min)
+        scale = max(h_max, -float(np.minimum.reduce(h)))
         if scale > 0:
             np.divide(h, scale, out=step)
-            step *= STEP_SCALE / np.sqrt(it)
+            step *= STEP_SCALE / math.sqrt(it)
             np.exp(step, out=step)
             w *= step
-            w /= w.sum()
+            w /= np.add.reduce(w)
     for cand in starts:
         val, _ = evaluate(objective, cand)
         if val < best_val:
             best_val, best_w = val, cand.copy()
-    gap = best_val - best_lb
-    return MinimizeResult(best_w, float(best_val), float(max(gap, 0.0)), converged, iters)
+    return MinimizeResult(best_w, float(best_val), float(max(best_val - best_lb, 0.0)),
+                          converged, it)
 
 
 @dataclass

@@ -10,9 +10,10 @@ class BudgetError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Exact inference refused: one clique of the sweep's min-fill variable
-    elimination, the factor over the kept nodes included, would span more
-    than `inference.FRONTIER_LIMIT` variables."""
+    """Work refused before it is built: an arm set (or a tree) with more
+    (arm, node) cells than `model.ARM_CELL_LIMIT`, or a clique of the sweep's
+    min-fill variable elimination, the factor over the kept nodes included,
+    spanning more than `inference.FRONTIER_LIMIT` variables."""
 
 
 class IllPosedObjectiveError(RuntimeError):

@@ -9,14 +9,19 @@ lexicographic bit order.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 
 FREE = -1  # "not intervened" entry of an intervention vector
+# Most (arm, node) cells an enumerated arm set may hold, counted before any row
+# is built: a 100 MB int8 matrix, so tree-h6 at budget 4 (635,376 arms x 127
+# nodes) still builds. A graph with more nodes than this has no room for one arm.
+ARM_CELL_LIMIT = 10**8
 
 
 def as_rng(seed_or_rng) -> np.random.Generator:
@@ -331,6 +336,9 @@ def make_binary_tree_dag(height: int) -> CausalDag:
     """
     if height < 1:
         raise ParameterError("height must be >= 1")
+    if (2 << min(height, 64)) - 1 > ARM_CELL_LIMIT:  # the cap only keeps the shift small
+        raise CapacityError(f"a tree of height {height} has 2^{height + 1} - 1 nodes, "
+                            f"more than the arm cell limit {ARM_CELL_LIMIT}")
     offsets = [0]
     for level in range(height):
         offsets.append(offsets[-1] + (1 << (height - level)))
@@ -346,6 +354,12 @@ def make_binary_tree_dag(height: int) -> CausalDag:
     return CausalDag(tuple(parents))
 
 
+def _check_arm_cells(arm_count: int, n_nodes: int) -> None:
+    if arm_count * n_nodes > ARM_CELL_LIMIT:
+        raise CapacityError(f"{arm_count} arms x {n_nodes} nodes = {arm_count * n_nodes} "
+                            f"cells exceeds the arm cell limit {ARM_CELL_LIMIT}")
+
+
 def enumerate_budget_interventions(n_nodes: int, target_nodes, budget: int) -> InterventionSet:
     """One arm per size-budget subset of targets: chosen targets 1, other targets 0, rest free.
 
@@ -354,6 +368,7 @@ def enumerate_budget_interventions(n_nodes: int, target_nodes, budget: int) -> I
     targets = sorted(int(t) for t in target_nodes)
     if budget < 1 or budget > len(targets):
         raise ParameterError(f"budget {budget} not in [1, {len(targets)}]")
+    _check_arm_cells(math.comb(len(targets), budget), n_nodes)
     rows = []
     for chosen in itertools.combinations(targets, budget):
         row = np.full(n_nodes, FREE, dtype=np.int8)
@@ -371,6 +386,7 @@ def enumerate_root_interventions(n_nodes: int, target_nodes, budget: int) -> Int
     targets = sorted(int(t) for t in target_nodes)
     if budget < 1 or budget > len(targets):
         raise ParameterError(f"budget {budget} not in [1, {len(targets)}]")
+    _check_arm_cells(sum(math.comb(len(targets), k) for k in range(1, budget + 1)), n_nodes)
     rows = []
     for size in range(1, budget + 1):
         for chosen in itertools.combinations(targets, size):

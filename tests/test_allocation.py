@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -323,3 +325,63 @@ def test_minimize_takes_the_reference_loops_steps():
         assert res.gap == pytest.approx(gap, rel=1e-12, abs=1e-12 * value)
         outcomes.add(converged)
     assert outcomes == {True, False}  # both the early stop and the iteration cap
+
+
+@pytest.mark.parametrize("max_iters", [2.5, 2.0, float("nan"), "10", None, True, False, 0, -3])
+def test_solver_config_rejects_an_iteration_cap_that_is_not_a_positive_integer(max_iters):
+    with pytest.raises(ParameterError, match="max_iters"):
+        SolverConfig(max_iters=max_iters)
+
+
+def test_solver_config_takes_a_numpy_integer_cap():
+    obj = random_objective(np.random.default_rng(2), n_terms=4, n_arms=3)
+    res = minimize(obj, SolverConfig(max_iters=np.int64(3), tolerance=0.0))
+    assert res.iterations == 3
+
+
+def test_dead_rows_at_zero_offset_take_the_reference_loops_steps():
+    # all-zero rows at zero offset (either sign) are dead, with a zero
+    # denominator at every iterate, so each step of `minimize` takes the branch
+    # that puts 1 in its place; the live rows' offsets are zero in about half
+    # the cases, so the offset add is skipped there
+    rng = np.random.default_rng(43)
+    config = SolverConfig(max_iters=300, tolerance=1e-3)
+    outcomes = set()
+    for case in range(40):
+        live = reference_case(rng)
+        dead = int(rng.integers(1, 4))
+        at = np.sort(rng.integers(0, live.n_terms + 1, size=dead))
+        values = np.insert(live.values, at, 0.0, axis=0)
+        include = np.insert(live.include, at, rng.random((dead, live.n_arms)) < 0.6, axis=0)
+        offset = np.insert(live.offset, at, -0.0 if case % 2 else 0.0)
+        obj = RatioObjective(values, include, offset)
+        weights, value, _, converged, iters = _reference_minimize(obj, config)
+        res = minimize(obj, config)
+        assert np.array_equal(res.weights, weights)
+        assert res.iterations == iters and res.converged == converged
+        assert res.value == pytest.approx(value, rel=1e-12, abs=0.0)
+        outcomes.add(converged)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("offset_scale", [0.0, 0.2])
+def test_minimize_iterations_allocate_nothing(offset_scale):
+    # a buffer or a history that grows with the iteration count would raise
+    # the traced peak of a 1,000-iteration solve above a 10-iteration one; the
+    # first solve runs untraced, so numpy's one-time caches are not counted
+    rng = np.random.default_rng(13)
+    obj = RatioObjective(rng.random((40, 60)) + 0.01, rng.random((40, 60)) < 0.7,
+                         rng.random(40) * offset_scale)
+    minimize(obj, SolverConfig(max_iters=10))
+    peaks = []
+    tracemalloc.start()
+    try:
+        for max_iters in (10, 1000):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            res = minimize(obj, SolverConfig(max_iters=max_iters, tolerance=0.0))
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            assert res.iterations == max_iters
+    finally:
+        tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 256, peaks

@@ -1,6 +1,7 @@
 """Command-line interface: subcommand output, exit codes, file handling."""
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -246,3 +247,37 @@ def test_module_entry_point_runs_in_subprocess():
         env={**os.environ, "PYTHONPATH": str(package_root)})
     assert proc.returncode == 0
     assert "N=7" in proc.stdout
+
+
+# Runs the CLI in a child and prints how long `main` took, so start-up is not
+# counted against the second the arm guard has.
+TIMED_MAIN = """
+import sys, time
+from causalbandit.cli import main
+start = time.perf_counter()
+code = main(sys.argv[1:])
+print(f"main_s={time.perf_counter() - start:.3f}")
+sys.exit(code)
+"""
+
+
+def _cap_address_space():
+    # a regression then fails with MemoryError instead of filling the machine
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv, message", [
+    # tree-h7 at budget 4: C(128, 4) arms
+    (["gen", "--tree-height", "7", "--budgets", "4"], "10668000 arms x 255 nodes"),
+    (["gamma", "--tree-height", "7", "--budget", "4"], "10668000 arms x 255 nodes"),
+    (["gamma", "--tree-height", "30", "--budget", "1"], "height 30 has 2^31 - 1 nodes"),
+])
+def test_arm_set_over_the_cell_limit_exits_before_enumerating(argv, message):
+    package_root = pathlib.Path(causalbandit.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, *argv], capture_output=True, text=True,
+        timeout=120, preexec_fn=_cap_address_space,
+        env={**os.environ, "PYTHONPATH": str(package_root), "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 1, proc.stderr
+    assert message in proc.stderr
+    assert float(proc.stdout.split("main_s=")[1]) < 1.0

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from causalbandit.errors import ParameterError
+from causalbandit import model
+from causalbandit.errors import CapacityError, ParameterError
 from causalbandit.inference import target_probability
 from causalbandit.model import (
+    ARM_CELL_LIMIT,
     FREE,
     CausalDag,
     ConditionalTable,
@@ -244,3 +246,27 @@ def test_soft_reduction_needs_labels():
     dag = chain_dag()
     with pytest.raises(ParameterError):
         soft_to_hard_reduction(dag, random_conditional_table(dag, 0), 1, [])
+
+
+def test_arm_cell_limit_leaves_room_for_tree_h6_at_budget_4():
+    assert math.comb(64, 4) * 127 <= ARM_CELL_LIMIT
+
+
+def test_arm_cell_limit_is_inclusive(monkeypatch):
+    # a small limit, so that a missing guard builds a few rows and fails here;
+    # the real limit is met from the command line, under a memory cap
+    monkeypatch.setattr(model, "ARM_CELL_LIMIT", 9)
+    assert len(enumerate_budget_interventions(3, [0, 1, 2], 1)) == 3   # 3 x 3 cells
+    assert len(enumerate_root_interventions(3, [0, 1], 2)) == 3        # 3 x 3 cells
+    with pytest.raises(CapacityError, match=r"^3 arms x 4 nodes = 12 cells exceeds"):
+        enumerate_budget_interventions(4, [0, 1, 2], 1)
+    with pytest.raises(CapacityError, match=r"^3 arms x 4 nodes = 12 cells exceeds"):
+        enumerate_root_interventions(4, [0, 1], 2)
+
+
+def test_tree_taller_than_the_arm_cell_limit_is_refused(monkeypatch):
+    monkeypatch.setattr(model, "ARM_CELL_LIMIT", 7)
+    assert make_binary_tree_dag(2).node_count == 7
+    for height in (3, 5):
+        with pytest.raises(CapacityError, match=rf"height {height} has 2\^{height + 1} - 1 nodes"):
+            make_binary_tree_dag(height)
