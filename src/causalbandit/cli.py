@@ -94,10 +94,10 @@ def _source_flags() -> argparse.ArgumentParser:
     return flags
 
 
-def _source_config(args) -> ExperimentConfig:
+def _source_config(args, budgets: tuple[int, ...]) -> ExperimentConfig:
     if args.bif:
         return ExperimentConfig(source="bif", bif=args.bif)
-    return ExperimentConfig(source="tree", tree_height=args.tree_height)
+    return ExperimentConfig(source="tree", tree_height=args.tree_height, budgets=budgets)
 
 
 def _parse_budgets(text: str) -> list[int]:
@@ -108,9 +108,9 @@ def _parse_budgets(text: str) -> list[int]:
 
 
 def _cmd_gen(args, out) -> int:
-    config = _source_config(args)
-    label, dag, targets = load_structure(config)
     budgets = _parse_budgets(args.budgets)
+    config = _source_config(args, tuple(budgets))
+    label, dag, targets = load_structure(config)
     arm_sets = [build_arms(config, dag, targets, b) for b in budgets]
     counts = [len(arms) for arms in arm_sets]
     row_counts = [uncertain_rows(dag, arms) for arms in arm_sets]
@@ -141,7 +141,7 @@ def _parse_arm_strings(text: str, node_count: int) -> InterventionSet:
 def _cmd_gamma(args, out) -> int:
     if args.alpha_seed < 0:
         raise ParameterError(f"--alpha-seed must be nonnegative, got {args.alpha_seed}")
-    config = _source_config(args)
+    config = _source_config(args, () if args.arms else (args.budget,))
     label, dag, targets = load_structure(config)
     if args.arms:
         arms = _parse_arm_strings(args.arms, dag.node_count)

@@ -21,7 +21,11 @@ each row: its conditional rate where the arm leaves it free, the indicator
 of clamp 1 where the arm fixes it.
 
 A sweep for node n is planned once for the whole arm set, and only the plan
-knows the layout. The variables are n's parents and the relevant nodes free
+knows the layout. Its relevant nodes are n's parents, each node before n that
+some arm leaves free and whose rows do not all sum to 1 (sub-stochastic
+estimates contribute their mass), and, transitively, the parents of relevant
+nodes that some arm leaves free; every other node marginalizes to exactly 1
+and is skipped. The variables are n's parents and the relevant nodes free
 in at least one arm. Each relevant node that some arm leaves free has a
 factor over itself and its parents that are variables: per arm, its
 conditional values where the arm leaves it free and the indicator of its
@@ -172,16 +176,12 @@ def _arm_matrix(arms, dag: CausalDag, n: int | None = None) -> np.ndarray:
 
 
 class _Plan(NamedTuple):
-    """A sweep's schedule for the whole arm set (see the module docstring).
-
-    `factors` holds one (node, scope, sources) entry per factor: the
-    variables it spans, ascending, and each parent's position among them, or
-    None when the bit is read off the arm matrix (sources is None for a
-    parent of the queried node fixed in every arm, whose factor is its
-    clamp's indicator). `steps` holds one (inputs, axis) entry per
-    eliminated variable, whose message takes the next factor id; `final`
-    the inputs of the output factor. Each input is a factor id with its
-    shape inside the clique: 2 on the axes it spans, 1 elsewhere."""
+    """`factors`: (node, scope, sources) per factor, with each parent's
+    position in the ascending scope or None when read off the arm matrix
+    (sources None: a fixed parent's indicator); `steps`: (inputs, axis) per
+    eliminated variable, whose message takes the next factor id; `final`:
+    the output factor's inputs. An input is a factor id and its shape in
+    the clique, 2 on the axes it spans and 1 elsewhere."""
 
     factors: tuple[tuple[int, tuple[int, ...], tuple[int | None, ...] | None], ...]
     steps: tuple[tuple[tuple[tuple[int, tuple[int, ...]], ...], int], ...]
@@ -190,11 +190,6 @@ class _Plan(NamedTuple):
 
 
 def _plan(table: ConditionalTable, dag: CausalDag, free_any: np.ndarray, n: int) -> _Plan:
-    """Only nodes that can influence the answer are processed: n's parents,
-    any node before n whose rows do not sum to 1 (sub-stochastic estimates
-    must contribute their mass), and, transitively, parents of processed
-    nodes that are free in at least one arm. Everything else marginalizes
-    to exactly 1 and is skipped."""
     relevant = set(dag.parents[n])
     relevant.update(np.flatnonzero(free_any[:n] & ~table.stochastic[:n]).tolist())
     work = list(relevant)
@@ -223,9 +218,7 @@ def _nodes(mask: int) -> list[int]:
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _min_fill(dag: CausalDag, free_bytes: bytes, n: int, relevant: int) -> _Plan:
-    """The plan of the sweep for n over the relevant nodes, given which nodes
-    some arm leaves free (`free_bytes`, a bool array's bytes): the only
-    inputs it reads. Node sets are bitsets, bit u for node u."""
+    """`free_bytes` is `free_any`'s bytes; node sets are bitsets, bit u for u."""
     free_any = np.frombuffer(free_bytes, dtype=bool)
     keep = dag.parents[n]
     nodes = _nodes(relevant)
@@ -342,9 +335,7 @@ def _factor(table: ConditionalTable, dag: CausalDag, fixed: np.ndarray, every_fr
 
 def _execute(plan: _Plan, table: ConditionalTable, dag: CausalDag, arms: np.ndarray,
              n: int) -> np.ndarray:
-    """Run the plan on one chunk of arms; see `_sweep` for the result. A
-    factor or message may have a leading axis of 1, arm-free, and then
-    broadcasts against the chunk's arms."""
+    """Run the plan on one chunk of arms; arm-free arrays broadcast."""
     n_arms = arms.shape[0]
     fixed = arms.astype(np.int64)  # the clamps, wide enough to pack parent rows
     every_free = (arms == FREE).all(axis=0).tolist()
@@ -374,16 +365,7 @@ def _execute(plan: _Plan, table: ConditionalTable, dag: CausalDag, arms: np.ndar
 
 
 def _sweep(table: ConditionalTable, dag: CausalDag, arms: np.ndarray, n: int) -> np.ndarray:
-    """Joint mass, per arm, of the nodes before n, where each arm's free nodes
-    contribute their conditional factors and its fixed nodes act as
-    constants, split by the bits of n's parents: shape (arms, 2^k), column r
-    for `ParentRealization.from_index(dag.parents[n], r)`, whether or not the
-    arm fixes n.
-
-    The plan is made once for the whole arm set and then run on chunks of
-    arms sized so one clique array holds at most max(STATE_BUDGET,
-    2^width) cells; each arm's arithmetic does not depend on the chunking.
-    """
+    """n's parent probabilities (module docstring), also for arms that fix n."""
     plan = _plan(table, dag, (arms == FREE).any(axis=0), n)
     chunk = max(1, STATE_BUDGET >> plan.width)
     out = np.empty((arms.shape[0], dag.row_count(n)))

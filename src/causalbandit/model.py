@@ -21,6 +21,7 @@ FREE = -1  # "not intervened" entry of an intervention vector
 # Most (arm, node) cells an enumerated arm set may hold, counted before any row
 # is built: a 100 MB int8 matrix, so tree-h6 at budget 4 (635,376 arms x 127
 # nodes) still builds. A graph with more nodes than this has no room for one arm.
+# Phase 1's float64 (arm, table row) reach cells are held to it too.
 ARM_CELL_LIMIT = 10**8
 
 
@@ -29,11 +30,6 @@ def as_rng(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.default_rng(seed_or_rng)
-
-
-def pack_weights(k: int) -> np.ndarray:
-    """Bit weights for packing a k-bit realization, first scope entry most significant."""
-    return 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -56,11 +52,12 @@ class CausalDag:
 
     @cached_property
     def row_keys(self) -> np.ndarray:
-        """(N, N) int64 packing matrix: column n holds `pack_weights` at n's
-        parents, so `omega @ row_keys` gives every node's parent row per draw."""
+        """(N, N) int64 packing matrix: column n holds the bit weights of n's
+        parents, the first most significant, so `omega @ row_keys` gives every
+        node's parent row per draw."""
         keys = np.zeros((self.node_count, self.node_count), dtype=np.int64)
         for n, ps in enumerate(self.parents):
-            keys[list(ps), n] = pack_weights(len(ps))
+            keys[list(ps), n] = 1 << np.arange(len(ps) - 1, -1, -1)
         return keys
 
     @cached_property
@@ -328,35 +325,37 @@ def random_conditional_table(dag: CausalDag, rng_seed) -> ConditionalTable:
     )
 
 
-def make_binary_tree_dag(height: int) -> CausalDag:
+def make_binary_tree_dag(height: int, budgets=()) -> CausalDag:
     """Complete binary tree with edges oriented toward the root.
 
     Nodes are numbered level by level, leaves first, so the root is the last
-    node and every internal node's parents are its two subtree children.
+    node and, for L leaves, node L + j has the subtree children 2j and 2j + 1
+    as parents.
+    Before anything is built, a tree is refused when its nodes, or the
+    exact-budget leaf arms of every positive budget given, exceed
+    `ARM_CELL_LIMIT`.
     """
     if height < 1:
         raise ParameterError("height must be >= 1")
-    if (2 << min(height, 64)) - 1 > ARM_CELL_LIMIT:  # the cap only keeps the shift small
+    nodes = (2 << min(height, 64)) - 1  # the cap only keeps the shift small
+    if nodes > ARM_CELL_LIMIT:
         raise CapacityError(f"a tree of height {height} has 2^{height + 1} - 1 nodes, "
                             f"more than the arm cell limit {ARM_CELL_LIMIT}")
-    offsets = [0]
-    for level in range(height):
-        offsets.append(offsets[-1] + (1 << (height - level)))
-    parents: list[tuple[int, ...]] = []
-    for level in range(height + 1):
-        width = 1 << (height - level)
-        for j in range(width):
-            if level == 0:
-                parents.append(())
-            else:
-                below = offsets[level - 1]
-                parents.append((below + 2 * j, below + 2 * j + 1))
-    return CausalDag(tuple(parents))
+    leaves = 1 << height
+    budgets = [b for b in budgets if b >= 1]
+    if budgets:  # C(leaves, b) rises with min(b, leaves - b), so check the least
+        b = min(budgets, key=lambda b: min(b, leaves - b))
+        if min(b, leaves - b) > 64:  # at least C(130, 65) > 10^37 arms, too slow to count
+            raise CapacityError(f"C({leaves}, {b}) arms exceed the arm cell limit "
+                                f"{ARM_CELL_LIMIT}")
+        check_arm_cells(math.comb(leaves, b), nodes)
+    return CausalDag(tuple(() if i < leaves else (2 * (i - leaves), 2 * (i - leaves) + 1)
+                           for i in range(nodes)))
 
 
-def _check_arm_cells(arm_count: int, n_nodes: int) -> None:
-    if arm_count * n_nodes > ARM_CELL_LIMIT:
-        raise CapacityError(f"{arm_count} arms x {n_nodes} nodes = {arm_count * n_nodes} "
+def check_arm_cells(arm_count: int, width: int, what: str = "nodes") -> None:
+    if arm_count * width > ARM_CELL_LIMIT:
+        raise CapacityError(f"{arm_count} arms x {width} {what} = {arm_count * width} "
                             f"cells exceeds the arm cell limit {ARM_CELL_LIMIT}")
 
 
@@ -368,7 +367,7 @@ def enumerate_budget_interventions(n_nodes: int, target_nodes, budget: int) -> I
     targets = sorted(int(t) for t in target_nodes)
     if budget < 1 or budget > len(targets):
         raise ParameterError(f"budget {budget} not in [1, {len(targets)}]")
-    _check_arm_cells(math.comb(len(targets), budget), n_nodes)
+    check_arm_cells(math.comb(len(targets), budget), n_nodes)
     rows = []
     for chosen in itertools.combinations(targets, budget):
         row = np.full(n_nodes, FREE, dtype=np.int8)
@@ -386,7 +385,7 @@ def enumerate_root_interventions(n_nodes: int, target_nodes, budget: int) -> Int
     targets = sorted(int(t) for t in target_nodes)
     if budget < 1 or budget > len(targets):
         raise ParameterError(f"budget {budget} not in [1, {len(targets)}]")
-    _check_arm_cells(sum(math.comb(len(targets), k) for k in range(1, budget + 1)), n_nodes)
+    check_arm_cells(sum(math.comb(len(targets), k) for k in range(1, budget + 1)), n_nodes)
     rows = []
     for size in range(1, budget + 1):
         for chosen in itertools.combinations(targets, size):
@@ -398,7 +397,7 @@ def enumerate_root_interventions(n_nodes: int, target_nodes, budget: int) -> Int
 
 def make_binary_tree_instance(height: int, budget: int, rng_seed) -> Instance:
     """Synthetic benchmark: tree DAG, random table, exact-budget leaf interventions."""
-    dag = make_binary_tree_dag(height)
+    dag = make_binary_tree_dag(height, (budget,))
     leaves = list(range(1 << height))
     arms = enumerate_budget_interventions(dag.node_count, leaves, budget)
     table = random_conditional_table(dag, rng_seed)

@@ -19,6 +19,17 @@ use, reads the rates off the counts. Rates whose (rate x best reach) product
 falls under the truncation threshold are marked unreliable and zeroed in the
 returned table; pairs whose best reach itself is tiny are marked rare and
 only excluded later, at final-estimate time.
+
+Once every arm's prefix mass is exactly zero, the later nodes' queries are
+skipped and they keep their zero `reach` (argmax arm 0, max 0), as the
+sweeps would give. An arm that leaves node n free and gets an all-zero
+`reach[n]` row is dead: every factor is nonnegative, the sub-stochastic
+nodes and free ancestors that zeroed its mass are in every later query's
+relevant set, and the stochastic nodes a later query adds have positive row
+sums, so every term of a later sweep holds an exact zero and it returns
++0.0. The zero must not be an underflow: a term multiplies at most N
+factors, each an indicator or a count ratio of at least 1/T, so arms are
+marked dead only while N log2(T) < 1000 (the least normal double is 2^-1022).
 """
 from __future__ import annotations
 
@@ -29,7 +40,8 @@ import numpy as np
 
 from .errors import BudgetError, ParameterError
 from .inference import Environment, parent_probabilities
-from .model import FREE, CausalDag, ConditionalTable, InterventionSet, uncertain_rows
+from .model import (FREE, CausalDag, ConditionalTable, InterventionSet, check_arm_cells,
+                    uncertain_rows)
 
 
 def truncation_threshold(trunc_scale: float, node_count: int, uncertain_rows: int,
@@ -122,6 +134,7 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
     threshold = (truncation_threshold(trunc_scale, dag.node_count, total_rows, horizon)
                  if trunc_scale > 0 else 0.0)
 
+    check_arm_cells(len(arms), dag.total_rows, "rows")  # the reach matrices
     rows = [dag.row_count(n) for n in range(dag.node_count)]
     table = ConditionalTable(tuple(np.zeros((r, 2)) for r in rows))
     unreliable = [np.zeros((r, 2), dtype=bool) for r in rows]
@@ -133,9 +146,14 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
     best_value = [np.zeros(r) for r in rows]
 
     matrix = arms.matrix
+    exact_zeros = dag.node_count * math.log2(horizon) < 1000  # see the module docstring
+    alive = np.ones(len(arms), dtype=bool)  # arms whose prefix mass may be nonzero
     for n in uncertain:
         # the query reads only nodes before n, so one per node serves every row
-        reach[n] = parent_probabilities(table, dag, n, arms)
+        if alive.any():
+            reach[n] = parent_probabilities(table, dag, n, arms)
+            if exact_zeros:
+                alive &= (matrix[:, n] != FREE) | reach[n].any(axis=1)
         best_arm[n] = np.argmax(reach[n], axis=0)
         best_value[n] = reach[n][best_arm[n], np.arange(rows[n])]
         # every row's batch in one call; row r's are the per_pair draws from r * per_pair

@@ -174,9 +174,10 @@ def config_from_mapping(mapping: dict[str, str]) -> ExperimentConfig:
 
 
 def load_structure(config: ExperimentConfig) -> tuple[str, CausalDag, tuple[int, ...]]:
-    """Instance label, graph, and the intervention target nodes."""
+    """Instance label, graph, and the intervention target nodes. A tree too
+    large for the arms of every one of `config.budgets` is refused unbuilt."""
     if config.source == "tree":
-        dag = make_binary_tree_dag(config.tree_height)
+        dag = make_binary_tree_dag(config.tree_height, config.budgets)
         targets = tuple(range(1 << config.tree_height))
         return f"tree-h{config.tree_height}", dag, targets
     name = config.bif

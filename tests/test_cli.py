@@ -271,6 +271,9 @@ def _cap_address_space():
     (["gen", "--tree-height", "7", "--budgets", "4"], "10668000 arms x 255 nodes"),
     (["gamma", "--tree-height", "7", "--budget", "4"], "10668000 arms x 255 nodes"),
     (["gamma", "--tree-height", "30", "--budget", "1"], "height 30 has 2^31 - 1 nodes"),
+    # C(2^25, 1) and C(2^20, 2) arms; the trees alone used to fill the memory
+    (["gamma", "--tree-height", "25", "--budget", "1"], "33554432 arms x 67108863 nodes"),
+    (["gen", "--tree-height", "20", "--budgets", "2"], "549755289600 arms x 2097151 nodes"),
 ])
 def test_arm_set_over_the_cell_limit_exits_before_enumerating(argv, message):
     package_root = pathlib.Path(causalbandit.__file__).resolve().parent.parent

@@ -32,6 +32,10 @@ from causalbandit.sweep import STRATEGIES, ExperimentConfig, build_arms, load_st
 DATA = pathlib.Path(__file__).parent / "data"
 
 CASES = {
+    # the benchmark's network at multipliers where phase 1 skips queries, and not
+    "golden_alarm_b2.csv": ExperimentConfig(
+        source="bif", bif="alarm", budgets=(2,), multipliers=(3, 9), trials=2, seed=7,
+        strategies=STRATEGIES),
     "golden_tree_h3_b2.csv": ExperimentConfig(
         source="tree", tree_height=3, budgets=(2,), multipliers=(3, 6), trials=2, seed=7,
         strategies=STRATEGIES),

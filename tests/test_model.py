@@ -270,3 +270,16 @@ def test_tree_taller_than_the_arm_cell_limit_is_refused(monkeypatch):
     for height in (3, 5):
         with pytest.raises(CapacityError, match=rf"height {height} has 2\^{height + 1} - 1 nodes"):
             make_binary_tree_dag(height)
+
+
+def test_tree_is_refused_when_no_budget_fits(monkeypatch):
+    with pytest.raises(CapacityError, match=r"^C\(1048576, 400000\) arms exceed"):
+        make_binary_tree_dag(20, (400000,))  # refused without counting them exactly
+    # height 2: 7 nodes, 4 leaves; C(4, b) arms at budget b
+    monkeypatch.setattr(model, "ARM_CELL_LIMIT", 28)
+    assert make_binary_tree_dag(2, (1, 2)).node_count == 7      # 4 x 7 fits
+    assert make_binary_tree_dag(2, (2, 4, 0, 9)).node_count == 7  # 1 x 7 fits
+    with pytest.raises(CapacityError, match=r"^6 arms x 7 nodes = 42 cells exceeds"):
+        make_binary_tree_dag(2, (2,))
+    with pytest.raises(CapacityError, match=r"^6 arms x 7 nodes"):
+        make_binary_tree_instance(2, 2, rng_seed=0)

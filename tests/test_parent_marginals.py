@@ -1,5 +1,6 @@
-"""The sweeps against the brute-force oracles on random networks, phase 1's
-stored reach against a fresh sweep, the chunking of the arm axis, the
+"""The sweeps against the brute-force oracles on random networks, the zero
+prefix mass that phase 1's skip relies on, phase 1's stored reach against a
+fresh sweep, the chunking of the arm axis, the
 clique sizes of the elimination plans and their cache, and the engine's
 plans and bits against a reference planner on Python sets that builds
 every factor per arm."""
@@ -90,6 +91,27 @@ def test_sweeps_match_brute_force(net):
                 assert abs(got[a, r] - want) <= 1e-12
             mass = prefix_mass(table, dag, n, arm) if arm.values[n] == FREE else 0.0
             assert abs(got[a].sum() - mass) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)  # about one in ten has a dead arm
+@given(networks())
+def test_zero_prefix_mass_stays_zero_at_later_nodes(net):
+    """What phase 1's skip relies on: once an arm's parent-row mass is all
+    zero at a node it frees, it is zero, to the last bit, at every later node
+    it frees."""
+    table, dag, arms = net
+    for a, arm in enumerate(arms):
+        free = [n for n in range(dag.node_count) if arm.values[n] == FREE]
+        masses = [[brute_force_parent_probability(
+            table, dag, n, ParentRealization.from_index(dag.parents[n], r), arm)
+            for r in range(dag.row_count(n))] for n in free]
+        dead = [n for n, m in zip(free, masses) if not any(m)]
+        if not dead:
+            continue
+        for n, m in zip(free, masses):
+            if n > dead[0]:
+                assert not any(m)
+                assert not parent_probabilities(table, dag, n, arms)[a].any()
 
 
 @settings(max_examples=30, deadline=None)
