@@ -54,15 +54,17 @@ array is built, on every query whose plan has one clique spanning more than
 FRONTIER_LIMIT variables.
 
 Sampling has one entry point, `sample_batch`, whose rules are stated here
-only. It reads each node's parent row off `CausalDag.row_keys`, the
-packing that `phase1.fold_counts` counts with. One call draws a whole list
-of batches: under one arm, or under a (B, nodes) matrix of arms that the
-draws are split over by `even_split` (count // B each, one more for the
-first count % B arms), and returns them batch after batch. The random
-stream is exactly the one that one call per batch would take: batch after
-batch, and within a batch node-major over its arm's free nodes in
-topological order. All uniforms are drawn at once, and variate (batch i,
-free node of rank r, draw k) is read at i's start plus r x size_i + k.
+only. One call draws a list of batches: under one arm, or under a (B, nodes)
+matrix of arms that the draws are split over by `even_split` (count // B
+each, one more for the first count % B arms), and returns them batch after
+batch. The stream is exactly the one that one call per batch would take:
+batch after batch, and within a batch node-major over its arm's free nodes in
+topological order. All uniforms are drawn at once; variate (batch i, free node
+of rank r, draw k) is u at i's start plus r x size_i + k, and a clamp takes a
+sentinel instead, -1 for clamp 1 and 2 for clamp 0, which no probability
+crosses. Draws are made one `CausalDag.levels` depth at a time: one product
+packs the depth's parent rows, as `CausalDag.row_keys` does, and variate <
+`ConditionalTable.thresholds`[row] overwrites the depth's variates.
 Strategies reach it only through an `Environment`, whose `intervene_many`
 also charges the experiment ledger.
 """
@@ -92,6 +94,7 @@ STATE_BUDGET = 1 << 16  # cells of one clique array; the arm axis is chunked to 
 BRUTE_FORCE_LIMIT = 20
 PLAN_CACHE_SIZE = 512  # sweep plans kept; one is at most about 14 KB on alarm
 CELL_CACHE_SIZE = 256  # cell-index tables of factors kept
+GATHER_CELLS = 1 << 11  # variate positions `sample_batch` holds at once: 16 KB
 
 
 # ---------------------------------------------------------------------------
@@ -413,34 +416,38 @@ def sample_batch(table: ConditionalTable, dag: CausalDag, arm_values, count: int
                  rng) -> np.ndarray:
     """Draw `count` realizations, shape (count, nodes), under one arm or a
     (B, nodes) matrix of arms, by the rules in the module docstring."""
-    rng = as_rng(rng)
-    values = np.asarray(arm_values, dtype=np.int8).reshape(-1, dag.node_count)
+    order, column, levels = dag.levels
+    # arms past the count draw nothing, so they are left out
+    values = np.asarray(arm_values, dtype=np.int8).reshape(-1, dag.node_count)[:max(count, 1)]
     sizes = even_split(count, values.shape[0])
-    batch = np.repeat(np.arange(values.shape[0]), sizes)
-    free = values == FREE
-    spans = sizes * free.sum(axis=1)  # the variates each batch takes
-    first_draw, first_variate = np.cumsum(sizes) - sizes, np.cumsum(spans) - spans
-    pos = (first_variate - first_draw)[batch] + np.arange(count)  # each draw's next variate
-    step = sizes[batch]  # a draw's variates lie one batch size apart, node after node
-    u = rng.random(int(spans.sum()))
-    keys = dag.row_keys.astype(np.float64)  # exact, and the products run in BLAS
-    out = np.empty((dag.node_count, count))  # node-major while drawing
-    drawn = free[sizes > 0]  # the arms that draw at all
-    for n, (some, every) in enumerate(zip(drawn.any(axis=0).tolist(),
-                                          drawn.all(axis=0).tolist())):
-        if not some:
-            out[n] = values[batch, n]
-            continue
-        idx = (keys[:n, n] @ out[:n]).astype(np.int64)  # parents precede n
-        if every:
-            out[n] = u[pos] < table.rows[n][idx, 1]
-            pos += step
-        else:
-            clamp = values[batch, n]
-            hit = clamp == FREE
-            out[n] = np.where(hit, u[np.where(hit, pos, 0)] < table.rows[n][idx, 1], clamp)
-            pos += step * hit
-    return out.T.astype(np.uint8, order="C")
+    most, free = sizes.max(), values == FREE
+    rank = np.cumsum(free, axis=1)  # a free node's rank, plus one
+    spans = sizes * rank[:, -1]  # the variates each batch takes
+    # u: `most` sentinels of clamp 0, as many of clamp 1, then the stream; draw
+    # d's variate at (its arm, node) is u[first[node, arm] + d]
+    run = np.cumsum(spans) - spans + 2 * most  # each batch's first variate
+    first = (np.where(free, (rank - 1) * sizes[:, None] + run[:, None], most * values)
+             - (np.cumsum(sizes) - sizes)[:, None]).T[order]
+    del free, rank  # each array lives only as long as it is read: the peak is the gather's
+    u = np.empty(2 * most + spans.sum())
+    u[:most], u[most:2 * most] = 2.0, -1.0
+    as_rng(rng).random(out=u[2 * most:])
+    v = np.zeros((dag.node_count + 1, count))  # (row, draw); row N stays 0
+    batch, step = np.repeat(np.arange(len(sizes)), sizes), max(1, GATHER_CELLS // max(count, 1))
+    for lo in range(0, dag.node_count, step):  # a block of rows at a time; every
+        # position is in range, and "clip" lets `take` write into `out` in place
+        u.take(first[lo:lo + step].take(batch, axis=1) + np.arange(count),
+               out=v[:-1][lo:lo + step], mode="clip")
+    del u, first
+    for start, end, cols, weights, offsets in levels:
+        if len(weights):  # the rows, then their thresholds in their place
+            p = (weights @ v.take(cols, axis=0).reshape(len(weights), (end - start) * count)
+                 ).reshape(end - start, count) + offsets
+            table.thresholds.take(p.astype(np.intp), out=p, mode="clip")
+        else:  # the roots
+            p = table.thresholds[offsets]
+        v[start:end] = v[start:end] < p
+    return np.ascontiguousarray(v.astype(np.uint8).take(column, axis=0).T)
 
 
 class Environment:

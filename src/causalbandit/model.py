@@ -65,6 +65,30 @@ class CausalDag:
         """N + 1 starts of each node's block in the flat (total rows, 2) count space."""
         return np.cumsum([0] + [self.row_count(n) for n in range(self.node_count)])
 
+    @cached_property
+    def levels(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """`inference.sample_batch`'s plan: row c of its draws is node order[c],
+        by depth (a root 0, else one more than its deepest parent), `column`
+        the inverse, and row N zeros. Per depth: its rows [start, end), its
+        nodes' parent rows front-padded with row N, slot-major, the slots' bit
+        weights and the nodes' row offsets."""
+        depth, n_nodes = [], self.node_count
+        for ps in self.parents:
+            depth.append(1 + max((depth[p] for p in ps), default=-1))
+        order = sorted(range(n_nodes), key=depth.__getitem__)
+        column = np.empty(n_nodes + 1, dtype=np.intp)
+        column[order + [n_nodes]] = np.arange(n_nodes + 1)
+        steps = []
+        for _, group in itertools.groupby(order, depth.__getitem__):
+            nodes = list(group)
+            k = max(len(self.parents[n]) for n in nodes)
+            pad = [(n_nodes,) * (k - len(self.parents[n])) + self.parents[n] for n in nodes]
+            start = column[nodes[0]]
+            steps.append((start, start + len(nodes), column[np.array(pad, dtype=np.intp).T.ravel()],
+                          (1 << np.arange(k - 1, -1, -1)).astype(float),
+                          self.row_offsets[nodes][:, None]))
+        return np.array(order), column[:-1], tuple(steps)
+
     @property
     def total_rows(self) -> int:
         """Conditional-table rows summed over every node."""
@@ -160,6 +184,11 @@ class ConditionalTable:
         """Per node, whether every row sums to 1 within 1e-9."""
         ok = _sums_to_one(np.concatenate(self.rows))
         return np.logical_and.reduceat(ok, np.cumsum([0] + [len(r) for r in self.rows[:-1]]))
+
+    @cached_property
+    def thresholds(self) -> np.ndarray:
+        """P(node = 1 | parent row) of every row, laid out as `CausalDag.row_offsets`."""
+        return np.concatenate([r[:, 1] for r in self.rows])
 
 
 @dataclass(frozen=True)
@@ -332,8 +361,9 @@ def make_binary_tree_dag(height: int, budgets=()) -> CausalDag:
     node and, for L leaves, node L + j has the subtree children 2j and 2j + 1
     as parents.
     Before anything is built, a tree is refused when its nodes, or the
-    exact-budget leaf arms of every positive budget given, exceed
-    `ARM_CELL_LIMIT`.
+    exact-budget leaf arms of every budget given in [1, leaves], exceed
+    `ARM_CELL_LIMIT`, and with `ParameterError` when budgets are given but
+    none is in that range.
     """
     if height < 1:
         raise ParameterError("height must be >= 1")
@@ -342,9 +372,11 @@ def make_binary_tree_dag(height: int, budgets=()) -> CausalDag:
         raise CapacityError(f"a tree of height {height} has 2^{height + 1} - 1 nodes, "
                             f"more than the arm cell limit {ARM_CELL_LIMIT}")
     leaves = 1 << height
-    budgets = [b for b in budgets if b >= 1]
-    if budgets:  # C(leaves, b) rises with min(b, leaves - b), so check the least
-        b = min(budgets, key=lambda b: min(b, leaves - b))
+    fits = [b for b in budgets if 1 <= b <= leaves]
+    if budgets and not fits:
+        raise ParameterError(f"budget {budgets[0]} not in [1, {leaves}]")
+    if fits:  # C(leaves, b) rises with min(b, leaves - b), so check the least
+        b = min(fits, key=lambda b: min(b, leaves - b))
         if min(b, leaves - b) > 64:  # at least C(130, 65) > 10^37 arms, too slow to count
             raise CapacityError(f"C({leaves}, {b}) arms exceed the arm cell limit "
                                 f"{ARM_CELL_LIMIT}")

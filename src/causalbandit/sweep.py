@@ -279,7 +279,7 @@ def _draw_instances(config: ExperimentConfig, dag: CausalDag, arms: Intervention
 
 def _run_cell(payload):
     config, label, budget, multiplier, strategy, instances = payload
-    if isinstance(instances, ParameterError):
+    if isinstance(instances, (ParameterError, CapacityError)):
         return CellFailure(budget, multiplier, strategy, str(instances))
     horizon = multiplier * uncertain_rows(instances[0].dag, instances[0].arms)
     strategy_id = STRATEGIES.index(strategy)
@@ -315,7 +315,7 @@ def run_sweep(config: ExperimentConfig) -> RegretReport:
     for budget in config.budgets:
         try:
             arms = build_arms(config, dag, targets, budget)
-        except ParameterError as err:
+        except (ParameterError, CapacityError) as err:
             # reported by each of the budget's cells
             instances.update({(budget, m): err for m in config.multipliers})
             continue

@@ -284,3 +284,36 @@ def test_arm_set_over_the_cell_limit_exits_before_enumerating(argv, message):
     assert proc.returncode == 1, proc.stderr
     assert message in proc.stderr
     assert float(proc.stdout.split("main_s=")[1]) < 1.0
+
+
+def _run_capped(argv):
+    package_root = pathlib.Path(causalbandit.__file__).resolve().parent.parent
+    return subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, *argv], capture_output=True, text=True,
+        timeout=120, preexec_fn=_cap_address_space,
+        env={**os.environ, "PYTHONPATH": str(package_root), "OPENBLAS_NUM_THREADS": "1"})
+
+
+@pytest.mark.parametrize("budgets, message", [
+    # C(2^24, b) is 0 above the 2^24 leaves, which once let the tree through
+    ("20000000", "error: budget 20000000 not in [1, 16777216]"),
+    ("2,20000000", "error: 140737479966720 arms x 33554431 nodes"),
+])
+def test_budget_above_the_leaf_count_exits_before_building_the_tree(budgets, message):
+    proc = _run_capped(["gen", "--tree-height", "24", "--budgets", budgets])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith(message)
+    assert float(proc.stdout.split("main_s=")[1]) < 1.0
+
+
+def test_run_reports_a_budget_over_the_cell_limit_per_cell():
+    proc = _run_capped(["run", "--set", "tree_height=7", "--set", "budgets=1,4",
+                        "--set", "multipliers=3", "--set", "trials=1",
+                        "--set", "strategies=uniform"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ("warning: budget=4 multiplier=3 strategy=uniform failed: "
+                           "10668000 arms x 255 nodes = 2720340000 cells exceeds the "
+                           "arm cell limit 100000000\n")
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("instance,strategy,budget,") and len(lines) == 3
+    assert lines[1].startswith("tree-h7,uniform,1,1524,1,")

@@ -272,6 +272,17 @@ def test_tree_taller_than_the_arm_cell_limit_is_refused(monkeypatch):
             make_binary_tree_dag(height)
 
 
+def test_tree_refuses_budgets_that_are_all_above_its_leaf_count():
+    with pytest.raises(ParameterError, match=r"^budget 5 not in \[1, 4\]$"):
+        make_binary_tree_dag(2, (5,))
+    with pytest.raises(ParameterError, match=r"^budget 9 not in \[1, 4\]$"):
+        make_binary_tree_dag(2, (9, 0, 6))
+    with pytest.raises(ParameterError, match=r"^budget 5 not in \[1, 4\]$"):
+        make_binary_tree_instance(2, 5, rng_seed=0)
+    assert make_binary_tree_dag(2, (9, 3)).node_count == 7  # budget 3 fits
+    assert make_binary_tree_dag(2).node_count == 7  # no budget, no check
+
+
 def test_tree_is_refused_when_no_budget_fits(monkeypatch):
     with pytest.raises(CapacityError, match=r"^C\(1048576, 400000\) arms exceed"):
         make_binary_tree_dag(20, (400000,))  # refused without counting them exactly

@@ -230,6 +230,18 @@ def test_failed_cells_are_recorded_not_skipped():
     assert "two arms" in failure.message
 
 
+def test_a_budget_over_the_arm_cell_limit_fails_only_its_own_cells():
+    # tree-h7: budget 1 has 128 arms, budget 4 C(128, 4) = 10,668,000, refused
+    # by its count before any arm is built
+    config = ExperimentConfig(tree_height=7, budgets=(1, 4), multipliers=(3,), trials=1,
+                              strategies=("uniform",))
+    report = run_sweep(config)
+    assert [(r.budget, r.strategy) for r in report.rows] == [(1, "uniform")]
+    assert [(f.budget, f.multiplier, f.strategy) for f in report.failures] == [
+        (4, 3, "uniform")]
+    assert report.failures[0].message.startswith("10668000 arms x 255 nodes")
+
+
 def test_fix_alpha_reuses_the_first_trial_table(monkeypatch):
     recorded = []
     import causalbandit.sweep as sweep_module
