@@ -96,7 +96,8 @@ class CausalDag:
 
     def split_rows(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per-node views of an array laid out in the flat count space."""
-        return tuple(np.split(flat, self.row_offsets[1:-1]))
+        bounds = self.row_offsets.tolist()
+        return tuple(flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
 
     @cached_property
     def roots(self) -> tuple[int, ...]:
@@ -159,14 +160,20 @@ class ConditionalTable:
         object.__setattr__(self, "rows", tuple(_frozen_rows(r) for r in self.rows))
 
     def with_node(self, n: int, rows) -> "ConditionalTable":
-        """This table with node n's rows replaced by a read-only copy of `rows`.
-        The other nodes' read-only arrays are shared, and `stochastic` is
-        checked again at n alone."""
+        return self.with_nodes([n], rows)
+
+    def with_nodes(self, nodes, rows) -> "ConditionalTable":
+        """This table with the rows of `nodes` replaced by a read-only copy of
+        `rows`, theirs stacked in that order. The other nodes' read-only
+        arrays are shared, and `stochastic` is checked again at `nodes` alone."""
         frozen = _frozen_rows(rows)
-        stochastic = self.stochastic.copy()
-        stochastic[n] = _sums_to_one(frozen).all()
+        ok = _sums_to_one(frozen)
+        new, stochastic, at = list(self.rows), self.stochastic.copy(), 0
+        for n in nodes:
+            end = at + len(new[n])
+            new[n], stochastic[n], at = frozen[at:end], ok[at:end].all(), end
         table = object.__new__(type(self))
-        object.__setattr__(table, "rows", self.rows[:n] + (frozen,) + self.rows[n + 1:])
+        object.__setattr__(table, "rows", tuple(new))
         table.__dict__["stochastic"] = stochastic
         return table
 
@@ -391,22 +398,34 @@ def check_arm_cells(arm_count: int, width: int, what: str = "nodes") -> None:
                             f"cells exceeds the arm cell limit {ARM_CELL_LIMIT}")
 
 
+def _subset_arms(n_nodes: int, target_nodes, budget: int, smallest: int,
+                 others: int) -> InterventionSet:
+    """One arm per subset of the targets of each size from `smallest` to
+    `budget`, lexicographic within a size: chosen targets 1, other targets
+    `others`, the rest free; counted, then written into one int8 matrix."""
+    targets = sorted(int(t) for t in target_nodes)
+    if budget < 1 or budget > len(targets):
+        raise ParameterError(f"budget {budget} not in [1, {len(targets)}]")
+    sizes = range(smallest, budget + 1)
+    count = sum(math.comb(len(targets), k) for k in sizes)
+    check_arm_cells(count, n_nodes)
+    matrix = np.full((count, n_nodes), FREE, dtype=np.int8)
+    matrix[:, targets] = others
+    chosen = itertools.chain.from_iterable(itertools.combinations(targets, k) for k in sizes)
+    for row, subset in zip(matrix, chosen):
+        row[list(subset)] = 1
+    matrix.flags.writeable = False
+    arms = object.__new__(InterventionSet)  # valid by construction, so neither checked nor copied
+    arms.matrix = matrix
+    return arms
+
+
 def enumerate_budget_interventions(n_nodes: int, target_nodes, budget: int) -> InterventionSet:
     """One arm per size-budget subset of targets: chosen targets 1, other targets 0, rest free.
 
     Subsets are emitted in lexicographic order of the chosen node tuples.
     """
-    targets = sorted(int(t) for t in target_nodes)
-    if budget < 1 or budget > len(targets):
-        raise ParameterError(f"budget {budget} not in [1, {len(targets)}]")
-    check_arm_cells(math.comb(len(targets), budget), n_nodes)
-    rows = []
-    for chosen in itertools.combinations(targets, budget):
-        row = np.full(n_nodes, FREE, dtype=np.int8)
-        row[targets] = 0
-        row[list(chosen)] = 1
-        rows.append(row)
-    return InterventionSet(np.array(rows, dtype=np.int8))
+    return _subset_arms(n_nodes, target_nodes, budget, budget, 0)
 
 
 def enumerate_root_interventions(n_nodes: int, target_nodes, budget: int) -> InterventionSet:
@@ -414,17 +433,7 @@ def enumerate_root_interventions(n_nodes: int, target_nodes, budget: int) -> Int
 
     Ordered by subset size, lexicographic within each size.
     """
-    targets = sorted(int(t) for t in target_nodes)
-    if budget < 1 or budget > len(targets):
-        raise ParameterError(f"budget {budget} not in [1, {len(targets)}]")
-    check_arm_cells(sum(math.comb(len(targets), k) for k in range(1, budget + 1)), n_nodes)
-    rows = []
-    for size in range(1, budget + 1):
-        for chosen in itertools.combinations(targets, size):
-            row = np.full(n_nodes, FREE, dtype=np.int8)
-            row[list(chosen)] = 1
-            rows.append(row)
-    return InterventionSet(np.array(rows, dtype=np.int8))
+    return _subset_arms(n_nodes, target_nodes, budget, 1, FREE)
 
 
 def make_binary_tree_instance(height: int, budget: int, rng_seed) -> Instance:

@@ -30,6 +30,13 @@ sums, so every term of a later sweep holds an exact zero and it returns
 +0.0. The zero must not be an underflow: a term multiplies at most N
 factors, each an indicator or a count ratio of at least 1/T, so arms are
 marked dead only while N log2(T) < 1000 (the least normal double is 2^-1022).
+
+Every pair of that tail pulls arm 0, so one sampler call draws all of the
+tail's batches, and one fold, one own-row count and one rate estimate cover
+them. The stream is the one a call per node would read: nothing else draws
+between the tail's nodes, and by `sample_batch`'s rule one call over a list
+of batches reads it exactly as one call per batch does. Counts are integers
+and the rates and masks elementwise, so every bit is the same too.
 """
 from __future__ import annotations
 
@@ -137,55 +144,70 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
     check_arm_cells(len(arms), dag.total_rows, "rows")  # the reach matrices
     rows = [dag.row_count(n) for n in range(dag.node_count)]
     table = ConditionalTable(tuple(np.zeros((r, 2)) for r in rows))
-    unreliable = [np.zeros((r, 2), dtype=bool) for r in rows]
-    rare = [np.zeros((r, 2), dtype=bool) for r in rows]
+    # the per-pair arrays are laid out as `fold_counts`' rows
     own = np.zeros((dag.total_rows, 2), dtype=np.int64)  # each pair's row of its own batch
     shared = np.zeros_like(own)
+    unreliable = np.zeros(own.shape, dtype=bool)
+    best_arm = np.full(dag.total_rows, -1, dtype=np.int64)
+    best_value = np.zeros(dag.total_rows)
     reach = [np.zeros((len(arms), r)) for r in rows]
-    best_arm = [np.full(r, -1, dtype=np.int64) for r in rows]
-    best_value = [np.zeros(r) for r in rows]
-
+    row_node = np.repeat(np.arange(dag.node_count), rows)
     matrix = arms.matrix
+
+    def scan(nodes, table):
+        """Pull each pair of `nodes` under its best arm for its batch, every
+        batch in one sampler call, and return `table` with their estimates."""
+        pairs = np.concatenate([np.arange(dag.row_offsets[m], dag.row_offsets[m + 1])
+                                for m in nodes])
+        for m in nodes:
+            at = slice(dag.row_offsets[m], dag.row_offsets[m + 1])
+            best_arm[at] = np.argmax(reach[m], axis=0)
+            best_value[at] = reach[m][best_arm[at], np.arange(rows[m])]
+        # pair i's batch is the per_pair draws from i * per_pair
+        pulled = matrix[best_arm[pairs]]
+        omega = env.intervene_many(pulled, len(pairs) * per_pair)
+        draw_arms = pulled.repeat(per_pair, axis=0)
+        shared[:] += fold_counts(dag, draw_arms, omega)
+        pair = pairs.repeat(per_pair)  # each draw's pair, and its node
+        node, draws = row_node[pair], np.arange(len(pair))
+        key = np.einsum("dn,dn->d", omega, dag.row_keys.T[node]) + dag.row_offsets[node]
+        hit = (key == pair) & (draw_arms[draws, node] == FREE)
+        own[:] += np.bincount(2 * pair[hit] + omega[draws[hit], node[hit]],
+                              minlength=2 * dag.total_rows).reshape(-1, 2)
+        counts = own[pairs]
+        est = rate_estimates(counts.sum(axis=1), counts[:, 1])
+        if trunc_scale > 0:
+            unreliable[pairs] = est * best_value[pairs][:, None] <= 2.0 * math.e * threshold
+        return table.with_nodes(nodes, np.where(unreliable[pairs], 0.0, est))
+
     exact_zeros = dag.node_count * math.log2(horizon) < 1000  # see the module docstring
     alive = np.ones(len(arms), dtype=bool)  # arms whose prefix mass may be nonzero
-    for n in uncertain:
+    for i, n in enumerate(uncertain):
         # the query reads only nodes before n, so one per node serves every row
-        if alive.any():
-            reach[n] = parent_probabilities(table, dag, n, arms)
-            if exact_zeros:
-                alive &= (matrix[:, n] != FREE) | reach[n].any(axis=1)
-        best_arm[n] = np.argmax(reach[n], axis=0)
-        best_value[n] = reach[n][best_arm[n], np.arange(rows[n])]
-        # every row's batch in one call; row r's are the per_pair draws from r * per_pair
-        pulled = matrix[best_arm[n]]
-        omega = env.intervene_many(pulled, rows[n] * per_pair)
-        draw_arms = np.repeat(pulled, per_pair, axis=0)
-        shared += fold_counts(dag, draw_arms, omega)
-        batch_row = np.repeat(np.arange(rows[n]), per_pair)
-        hit = (omega @ dag.row_keys[:, n] == batch_row) & (draw_arms[:, n] == FREE)
-        lo, hi = dag.row_offsets[n], dag.row_offsets[n + 1]
-        own[lo:hi] = np.bincount(2 * batch_row[hit] + omega[hit, n],
-                                 minlength=2 * rows[n]).reshape(-1, 2)
-        est = rate_estimates(own[lo:hi].sum(axis=1), own[lo:hi, 1])
-        if trunc_scale > 0:
-            unreliable[n] = est * best_value[n][:, None] <= 2.0 * math.e * threshold
-        table = table.with_node(n, np.where(unreliable[n], 0.0, est))
+        reach[n] = parent_probabilities(table, dag, n, arms)
+        if exact_zeros:
+            alive &= (matrix[:, n] != FREE) | reach[n].any(axis=1)
+        table = scan([n], table)
+        if not alive.any():
+            if uncertain[i + 1:]:  # the tail's reach stays zero
+                table = scan(uncertain[i + 1:], table)
+            break
 
+    rare = np.zeros_like(unreliable)
     if trunc_scale > 0:
         rare_cut = 8.0 * math.e * total_rows ** 2 * threshold
-        for n in uncertain:
-            rare[n][best_value[n] <= rare_cut, :] = True
+        rare[(best_arm >= 0) & (best_value <= rare_cut)] = True  # uncertain nodes' rows
 
     return Phase1Result(
         dag=dag,
         arms=arms,
         trimmed=table,
-        truncation=TruncationSets(tuple(unreliable), tuple(rare)),
+        truncation=TruncationSets(dag.split_rows(unreliable), dag.split_rows(rare)),
         seen=dag.split_rows(own.sum(axis=1)),
         seen_one=dag.split_rows(own[:, 1]),
         reach=tuple(reach),
-        best_arm=tuple(best_arm),
-        best_value=tuple(best_value),
+        best_arm=dag.split_rows(best_arm),
+        best_value=dag.split_rows(best_value),
         shared=shared,
         trunc_scale=trunc_scale,
         horizon=horizon,

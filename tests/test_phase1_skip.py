@@ -1,10 +1,14 @@
 """Phase 1's skip of parent queries once every arm's prefix mass is exactly
-zero: the results against a frozen copy of the loop that runs every query,
-bit for bit, and the skip both firing and held back by its underflow bound."""
+zero, and its one sampler call for the nodes left after that: the results
+against a frozen copy of the loop that runs every query and draws one node
+at a time, bit for bit, and the skip both firing and held back by its
+underflow bound."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from causalbandit import model, phase1
 from causalbandit.errors import CapacityError
@@ -27,6 +31,7 @@ from causalbandit.phase1 import (
     truncation_threshold,
 )
 from causalbandit.sweep import ExperimentConfig, build_arms, load_structure
+from test_parent_marginals import networks
 
 
 def reference_run_phase1(env, dag, arms, trunc_scale, horizon):
@@ -183,3 +188,103 @@ def test_reach_over_the_arm_cell_limit_is_refused_before_sampling(monkeypatch):
     assert env.experiments_used == 0
     monkeypatch.setattr(model, "ARM_CELL_LIMIT", 5)
     run_phase1(env, inst.dag, inst.arms, 0.0, 3 * inst.uncertain_rows)
+
+
+class CountedEnvironment(SimulatedEnvironment):
+    """A simulated environment that counts its sampler calls."""
+
+    def __init__(self, instance, rng):
+        super().__init__(instance, rng)
+        self.calls = 0
+
+    def intervene_many(self, arm, count):
+        self.calls += 1
+        return super().intervene_many(arm, count)
+
+
+def assert_matches_the_reference(inst, horizon, scale, seed):
+    """Phase 1 and the frozen loop, each on its own environment of one seed:
+    every result array, the ledger and the next draws agree bit for bit."""
+    envs = [SimulatedEnvironment(inst, seed) for _ in range(2)]
+    got = run_phase1(envs[0], inst.dag, inst.arms, scale, horizon)
+    want = reference_run_phase1(envs[1], inst.dag, inst.arms, scale, horizon)
+    assert_same_bits(got, want)
+    assert envs[0].experiments_used == envs[1].experiments_used
+    after = [env.intervene_many(inst.arms.matrix[-1], 5) for env in envs]
+    assert np.array_equal(*after)
+    return got
+
+
+def tail(p1, queried):
+    return p1.uncertain_nodes[len(queried):]
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-9])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_a_tail_node_that_arm_0_clamps_keeps_no_own_counts(scale, seed, monkeypatch):
+    """A 40-node chain under two arms, the first of which clamps node 30:
+    the mass dies within a few nodes, so node 30 is drawn in the tail under
+    arm 0 and its own counts stay zero."""
+    inst = chain_instance(40)
+    matrix = np.full((2, 40), FREE)
+    matrix[0, 30] = 1
+    inst = Instance(inst.dag, inst.table, InterventionSet(matrix))
+    calls = count_queries(monkeypatch)
+    p1 = assert_matches_the_reference(inst, 3 * inst.uncertain_rows, scale, seed)
+    assert 30 in tail(p1, calls)
+    assert not p1.seen[30].any() and not p1.seen_one[30].any()
+    assert not p1.best_arm[30].any() and not p1.trimmed.rows[30].any()
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-9])
+def test_a_tail_with_several_draws_per_pair_and_unequal_rows(scale, monkeypatch):
+    cases = 0
+    for seed in (0, 2):
+        inst = instance("alarm", 2, seed)
+        for multiplier in (6, 9):
+            calls = count_queries(monkeypatch)
+            p1 = assert_matches_the_reference(inst, multiplier * inst.uncertain_rows,
+                                              scale, seed)
+            assert p1.per_pair == multiplier // 3 >= 2
+            assert len({inst.dag.row_count(n) for n in tail(p1, calls)}) >= 3
+            cases += 1
+    assert cases == 4
+
+
+@pytest.mark.parametrize("source", ["alarm", "water"])
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6])
+def test_a_tail_under_truncation(source, scale, monkeypatch):
+    inst = instance(source, 2, 3)
+    calls = count_queries(monkeypatch)
+    p1 = assert_matches_the_reference(inst, 3 * inst.uncertain_rows, scale, 11)
+    assert p1.threshold > 0 and tail(p1, calls)
+    for n in tail(p1, calls):  # zero reach: every rate is dropped
+        assert p1.truncation.unreliable[n].all() and p1.truncation.rare[n].all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks(), st.sampled_from([3, 6, 9]), st.sampled_from([0.0, 1e-9]),
+       st.integers(0, 2 ** 16))
+def test_phase1_matches_the_reference_on_generated_networks(net, multiplier, scale, seed):
+    table, dag, arms = net
+    assume(uncertain_rows(dag, arms) > 0)
+    inst = Instance(dag, table, arms)
+    assert_matches_the_reference(inst, multiplier * inst.uncertain_rows, scale, seed)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_tail_takes_one_sampler_call(seed, monkeypatch):
+    inst = instance("alarm", 2, seed)
+    calls = count_queries(monkeypatch)
+    env = CountedEnvironment(inst, seed)
+    p1 = run_phase1(env, inst.dag, inst.arms, 0.0, 3 * inst.uncertain_rows)
+    assert tail(p1, calls)
+    assert env.calls == len(calls) + 1
+
+
+def test_a_chain_without_a_tail_takes_one_sampler_call_per_node(monkeypatch):
+    inst = chain_instance(120)  # past the underflow bound, so every node is queried
+    calls = count_queries(monkeypatch)
+    env = CountedEnvironment(inst, 5)
+    run_phase1(env, inst.dag, inst.arms, 0.0, 3 * inst.uncertain_rows)
+    assert env.calls == len(calls) == 120
