@@ -9,7 +9,6 @@ from .bif import (
     to_causal_dag,
 )
 from .allocation import (
-    AllocationResult,
     MinimizeResult,
     RatioObjective,
     SolverConfig,
@@ -90,78 +89,3 @@ from .sweep import (
     parse_config_text,
     run_sweep,
 )
-
-__all__ = [
-    "FREE",
-    "STRATEGIES",
-    "AllocationResult",
-    "BifNetwork",
-    "BifParseError",
-    "BifVariable",
-    "BudgetError",
-    "CapacityError",
-    "CausalDag",
-    "CellFailure",
-    "CellWarning",
-    "ConditionalTable",
-    "Environment",
-    "ExperimentConfig",
-    "IllPosedObjectiveError",
-    "Instance",
-    "InternalConsistencyError",
-    "Intervention",
-    "InterventionSet",
-    "MinimizeResult",
-    "ParameterError",
-    "ParentRealization",
-    "Phase1Result",
-    "Phase2Result",
-    "RatioObjective",
-    "RegretReport",
-    "RegretRow",
-    "SimulatedEnvironment",
-    "SolverConfig",
-    "StrategyResult",
-    "TruncationSets",
-    "ValidationReport",
-    "allocation_complexity",
-    "brute_force_parent_probability",
-    "brute_force_target_probability",
-    "build_allocation_objective",
-    "build_arms",
-    "build_exact_objective",
-    "config_from_mapping",
-    "default_trunc_scale",
-    "enumerate_budget_interventions",
-    "enumerate_root_interventions",
-    "evaluate",
-    "fold_counts",
-    "format_bif",
-    "load_bundled",
-    "load_structure",
-    "make_binary_tree_dag",
-    "make_binary_tree_instance",
-    "minimize",
-    "mix_seed",
-    "parent_probabilities",
-    "parse_bif",
-    "parse_config_text",
-    "random_conditional_table",
-    "rate_estimates",
-    "run_causal_bandit",
-    "run_phase1",
-    "run_phase2",
-    "run_successive_rejects",
-    "run_sweep",
-    "run_uniform_baseline",
-    "sample_batch",
-    "simple_regret",
-    "soft_to_hard_reduction",
-    "target_probabilities",
-    "target_probability",
-    "to_causal_dag",
-    "truncation_threshold",
-    "uncertain_rows",
-    "validate",
-    "vote_share",
-]

@@ -86,6 +86,7 @@ class MinimizeResult:
     gap: float
     converged: bool
     iterations: int
+    n_terms: int
 
 
 def _row_sums(objective: RatioObjective, weights: np.ndarray, denom: np.ndarray,
@@ -171,17 +172,7 @@ def minimize(objective: RatioObjective, config: SolverConfig | None = None,
         if val < best_val:
             best_val, best_w = val, cand.copy()
     return MinimizeResult(best_w, float(best_val), float(max(best_val - best_lb, 0.0)),
-                          converged, it)
-
-
-@dataclass
-class AllocationResult:
-    value: float
-    weights: np.ndarray
-    gap: float
-    converged: bool
-    n_terms: int
-    iterations: int
+                          converged, it, n_terms)
 
 
 def vote_share(best_arms, n_arms: int) -> np.ndarray:
@@ -215,10 +206,8 @@ def build_exact_objective(instance: Instance) -> tuple[RatioObjective, np.ndarra
 
 
 def allocation_complexity(instance: Instance,
-                          config: SolverConfig | None = None) -> AllocationResult:
+                          config: SolverConfig | None = None) -> MinimizeResult:
     """Minimize the instance's exact allocation objective over the arm simplex."""
     objective, counting = build_exact_objective(instance)
     # an arm set that frees no uncertain node casts no votes: no start then
-    res = minimize(objective, config, extra_starts=[counting] if counting.any() else [])
-    return AllocationResult(res.value, res.weights, res.gap, res.converged,
-                            objective.n_terms, res.iterations)
+    return minimize(objective, config, extra_starts=[counting] if counting.any() else [])

@@ -86,6 +86,7 @@ from .model import (
     Intervention,
     InterventionSet,
     ParentRealization,
+    arm_matrix,
     as_rng,
 )
 
@@ -160,22 +161,18 @@ def brute_force_parent_probability(table: ConditionalTable, dag: CausalDag, n: i
 def _arm_matrix(arms, dag: CausalDag, n: int | None = None) -> np.ndarray:
     """The arms as an (arms, nodes) int8 matrix, checked against the graph
     and, for a parent query, the queried node n. An `InterventionSet`'s
-    entries were checked when it was made and its matrix is read-only."""
-    checked = isinstance(arms, InterventionSet)
-    if checked:
+    matrix was checked when it was made and is read-only; other arms go
+    through `arm_matrix`, one arm's values as one row."""
+    if isinstance(arms, InterventionSet):
         m = arms.matrix
-    elif isinstance(arms, Intervention):
-        m = np.asarray([arms.values])
     else:
-        m = np.asarray(arms)
-        m = m[None, :] if m.ndim == 1 else m
-    if m.ndim != 2 or m.shape[1] != dag.node_count:
+        m = np.asarray(arms.values if isinstance(arms, Intervention) else arms)
+        m = arm_matrix(m[None, :] if m.ndim == 1 else m)
+    if m.shape[1] != dag.node_count:
         raise ParameterError("intervention length does not match the graph")
-    if not checked and not np.isin(m, (FREE, 0, 1)).all():
-        raise ParameterError("intervention entries must be in {*, 0, 1}")
     if n is not None and not 0 <= n < dag.node_count:
         raise ParameterError(f"node {n} is not in the graph")
-    return m.astype(np.int8, copy=False)
+    return m
 
 
 class _Plan(NamedTuple):

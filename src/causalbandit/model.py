@@ -159,9 +159,6 @@ class ConditionalTable:
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(_frozen_rows(r) for r in self.rows))
 
-    def with_node(self, n: int, rows) -> "ConditionalTable":
-        return self.with_nodes([n], rows)
-
     def with_nodes(self, nodes, rows) -> "ConditionalTable":
         """This table with the rows of `nodes` replaced by a read-only copy of
         `rows`, theirs stacked in that order. The other nodes' read-only
@@ -198,6 +195,21 @@ class ConditionalTable:
         return np.concatenate([r[:, 1] for r in self.rows])
 
 
+def arm_matrix(values) -> np.ndarray:
+    """Raw arm values, one arm per row, as a new int8 matrix. Each entry is
+    compared with FREE, 0 and 1 before the cast, so 255, 257 or 0.5 is
+    refused, not wrapped or truncated into a valid entry."""
+    m = np.asarray(values)
+    if m.ndim != 2:
+        raise ParameterError("intervention matrix must be 2-d")
+    ok = m == FREE  # three compares in place: a peak of two bool matrices
+    ok |= m == 0
+    ok |= m == 1
+    if not ok.all():
+        raise ParameterError("intervention entries must be in {*, 0, 1}")
+    return m.astype(np.int8)
+
+
 @dataclass(frozen=True)
 class Intervention:
     """Hard intervention: per-node entry in {FREE, 0, 1}."""
@@ -205,10 +217,7 @@ class Intervention:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
-        if any(v not in (FREE, 0, 1) for v in vals):
-            raise ParameterError("intervention entries must be in {*, 0, 1}")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", tuple(arm_matrix([self.values])[0].tolist()))
 
     @classmethod
     def from_string(cls, text: str) -> "Intervention":
@@ -235,18 +244,12 @@ class InterventionSet:
     """Ordered collection of interventions, stored as an (arms, nodes) int8 matrix."""
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=np.int8)
-        if m.ndim != 2:
-            raise ParameterError("intervention matrix must be 2-d")
-        if not np.all(np.isin(m, (FREE, 0, 1))):
-            raise ParameterError("intervention entries must be in {*, 0, 1}")
-        m = m.copy()
-        m.flags.writeable = False
-        self.matrix = m
+        self.matrix = arm_matrix(matrix)
+        self.matrix.flags.writeable = False
 
     @classmethod
     def from_interventions(cls, arms) -> "InterventionSet":
-        return cls(np.array([a.values for a in arms], dtype=np.int8))
+        return cls([a.values for a in arms])
 
     def __len__(self):
         return self.matrix.shape[0]
@@ -256,7 +259,7 @@ class InterventionSet:
         return self.matrix.shape[1]
 
     def __getitem__(self, i: int) -> Intervention:
-        return Intervention(tuple(int(v) for v in self.matrix[i]))
+        return Intervention(self.matrix[i])
 
     def __iter__(self):
         for i in range(len(self)):

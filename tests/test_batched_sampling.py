@@ -207,7 +207,7 @@ def test_a_table_made_by_with_node_gets_its_own_thresholds():
     before = table.thresholds.copy()  # cached on the old table first
     n = dag.node_count - 1
     rows = np.column_stack([np.ones(dag.row_count(n)), np.zeros(dag.row_count(n))])
-    changed = table.with_node(n, rows)
+    changed = table.with_nodes([n], rows)
     fresh = ConditionalTable(table.rows[:n] + (rows,))
     assert changed.thresholds is not table.thresholds
     assert np.array_equal(changed.thresholds, fresh.thresholds)

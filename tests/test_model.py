@@ -7,7 +7,7 @@ import pytest
 
 from causalbandit import model
 from causalbandit.errors import CapacityError, ParameterError
-from causalbandit.inference import target_probability
+from causalbandit.inference import target_probabilities, target_probability
 from causalbandit.model import (
     ARM_CELL_LIMIT,
     FREE,
@@ -57,7 +57,7 @@ def test_with_node_matches_a_fresh_table():
     table = random_conditional_table(dag, 4)
     for n, rows in [(2, np.full((dag.row_count(2), 2), 0.25)),
                     (5, np.tile([0.3, 0.7], (dag.row_count(5), 1)))]:
-        changed = table.with_node(n, rows)
+        changed = table.with_nodes([n], rows)
         fresh = ConditionalTable(table.rows[:n] + (rows,) + table.rows[n + 1:])
         assert all(np.array_equal(a, b) for a, b in zip(changed.rows, fresh.rows))
         assert np.array_equal(changed.stochastic, fresh.stochastic)
@@ -336,3 +336,41 @@ def test_enumeration_peaks_at_its_matrix():
         tracemalloc.stop()
     assert arms.matrix.shape == (35960, 63)
     assert peak <= 2 * arms.matrix.nbytes
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(255, id="255-cast-wrapped-to-free"),
+    pytest.param(257, id="257-cast-wrapped-to-one"),
+    pytest.param(0.5, id="0.5-cast-truncated-to-zero"),
+    pytest.param(-1.5, id="-1.5"),
+    pytest.param(np.nan, id="nan"),
+    pytest.param("1", id="string-1"),
+])
+def test_arm_entries_are_compared_before_the_int8_cast(bad):
+    """An entry must equal FREE, 0 or 1 as given. Casting first once let
+    `InterventionSet` take 255 as FREE, 257 as 1 and 0.5 as 0, and
+    `Intervention((0.5, 1, 0))` print as 010."""
+    dag = chain_dag()
+    table = ConditionalTable.from_success_probs([[0.5], [0.3, 0.7], [0.2, 0.9]])
+    row = (bad, 0, 1)
+    with pytest.raises(ParameterError, match="entries"):
+        Intervention(row)
+    with pytest.raises(ParameterError, match="entries"):
+        InterventionSet(np.array([row]))
+    with pytest.raises(ParameterError, match="entries"):
+        target_probabilities(table, dag, np.array([row]))
+
+
+def test_intervention_set_peaks_within_four_matrices_and_copies():
+    """tree-h5 at budget 4 (2.27 MB of int8): the entry check and the cast's
+    copy stay within a few matrices, and the set never shares the caller's."""
+    matrix = enumerate_budget_interventions(63, range(32), 4).matrix
+    tracemalloc.start()
+    try:
+        arms = InterventionSet(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(arms.matrix, matrix) and arms.matrix.dtype == np.int8
+    assert not np.shares_memory(arms.matrix, matrix) and not arms.matrix.flags.writeable
+    assert peak <= 4 * matrix.nbytes

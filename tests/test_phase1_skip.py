@@ -70,7 +70,7 @@ def reference_run_phase1(env, dag, arms, trunc_scale, horizon):
         est = rate_estimates(own[lo:hi].sum(axis=1), own[lo:hi, 1])
         if trunc_scale > 0:
             unreliable[n] = est * best_value[n][:, None] <= 2.0 * math.e * threshold
-        table = table.with_node(n, np.where(unreliable[n], 0.0, est))
+        table = table.with_nodes([n], np.where(unreliable[n], 0.0, est))
 
     if trunc_scale > 0:
         rare_cut = 8.0 * math.e * total_rows ** 2 * threshold
