@@ -1,9 +1,11 @@
 """Min-max allocation of sampling weight over the arm simplex.
 
 The objective is a max over arms of sums of ratio terms: each term contributes
-(numerator value)^2 divided by (weight-averaged values + offset). Every term is
-convex in the weights, so the max is convex and is minimized over the simplex
-with exponentiated-gradient steps on the active arm's subgradient. Feasible
+to arm a (its value at a)^2 divided by (weight-averaged values + offset). An
+arm that clamps node n has value zero in n's terms (`parent_probabilities`),
+so it neither scores nor informs them. Every term is convex in the weights, so
+the max is convex and is minimized over the simplex with
+exponentiated-gradient steps on the active arm's subgradient. Feasible
 iterates are tracked, so the reported value is always an upper bound on the
 true optimum; a linearization bound gives the gap certificate.
 
@@ -47,27 +49,26 @@ class SolverConfig:
 
 
 class RatioObjective:
-    """Terms laid out as rows: values[i] over arms, offset[i], and a mask of
-    which arms' inner sums the row belongs to."""
+    """Terms laid out as rows: values[i] over arms and offset[i]. A term
+    counts for an arm only where its squared value there reaches
+    NUMERATOR_CUTOFF: a smaller one contributes nothing but can make a zero
+    denominator look ill-posed."""
 
-    def __init__(self, values, include, offset):
+    def __init__(self, values, offset):
         values = np.asarray(values, dtype=np.float64)
         self.values = values if values.flags.forc else values.copy()  # BLAS-ready
-        self.include = np.asarray(include, dtype=bool)
         self.offset = np.asarray(offset, dtype=np.float64)
-        if self.values.ndim != 2 or self.include.shape != self.values.shape:
-            raise ParameterError("values and include must be matching 2-d arrays")
+        if self.values.ndim != 2:
+            raise ParameterError("values must be a 2-d array")
         if self.values.shape[1] == 0:
             raise ParameterError("an objective needs at least one arm")
         if self.offset.shape != (self.values.shape[0],):
             raise ParameterError("offset must have one entry per term row")
         if not (np.isfinite(self.values).all() and np.isfinite(self.offset).all()):
             raise ParameterError("values and offset must be finite")
-        # numerators below the cutoff are dropped: they contribute nothing but
-        # can make a zero denominator look ill-posed
-        self.include = self.include & (self.values ** 2 >= NUMERATOR_CUTOFF)
-        self._numer = self.values ** 2 * self.include
-        self._live = self.include.any(axis=1)
+        self._numer = self.values ** 2
+        self._numer[self._numer < NUMERATOR_CUTOFF] = 0.0
+        self._live = self._numer.any(axis=1)
         self._shifted = bool(self.offset.any())  # x + 0.0 is x, but for -0.0
 
     @property
@@ -200,8 +201,7 @@ def build_exact_objective(instance: Instance) -> tuple[RatioObjective, np.ndarra
         best.append(reach.argmax(axis=0))
         rows.extend(vec for vec in reach.T if (vec ** 2 >= NUMERATOR_CUTOFF).any())
     shape = (len(rows), len(arms))  # holds when no term survives, too
-    objective = RatioObjective(np.reshape(rows, shape), np.ones(shape, dtype=bool),
-                               np.zeros(len(rows)))
+    objective = RatioObjective(np.reshape(rows, shape), np.zeros(len(rows)))
     return objective, vote_share(best, len(arms))
 
 

@@ -55,18 +55,19 @@ FRONTIER_LIMIT variables.
 
 Sampling has one entry point, `sample_batch`, whose rules are stated here
 only. One call draws a list of batches: under one arm, or under a (B, nodes)
-matrix of arms that the draws are split over by `even_split` (count // B
-each, one more for the first count % B arms), and returns them batch after
-batch. The stream is exactly the one that one call per batch would take:
-batch after batch, and within a batch node-major over its arm's free nodes in
+matrix of arms that the draws are split over by `even_split` (count // B each,
+one more for the first count % B arms), and returns them batch after batch.
+Its arms pass `_arm_matrix`, the check a query's pass, before any uniform is
+drawn. The stream is exactly the one that one call per batch would take: batch
+after batch, and within a batch node-major over its arm's free nodes in
 topological order. All uniforms are drawn at once; variate (batch i, free node
 of rank r, draw k) is u at i's start plus r x size_i + k, and a clamp takes a
 sentinel instead, -1 for clamp 1 and 2 for clamp 0, which no probability
 crosses. Draws are made one `CausalDag.levels` depth at a time: one product
 packs the depth's parent rows, as `CausalDag.row_keys` does, and variate <
-`ConditionalTable.thresholds`[row] overwrites the depth's variates.
-Strategies reach it only through an `Environment`, whose `intervene_many`
-also charges the experiment ledger.
+`ConditionalTable.thresholds`[row] overwrites the depth's variates. Strategies
+reach it only through an `Environment`, whose `intervene_many` also charges
+the experiment ledger, once the draw has succeeded.
 """
 from __future__ import annotations
 
@@ -415,7 +416,7 @@ def sample_batch(table: ConditionalTable, dag: CausalDag, arm_values, count: int
     (B, nodes) matrix of arms, by the rules in the module docstring."""
     order, column, levels = dag.levels
     # arms past the count draw nothing, so they are left out
-    values = np.asarray(arm_values, dtype=np.int8).reshape(-1, dag.node_count)[:max(count, 1)]
+    values = _arm_matrix(arm_values, dag)[:max(count, 1)]
     sizes = even_split(count, values.shape[0])
     most, free = sizes.max(), values == FREE
     rank = np.cumsum(free, axis=1)  # a free node's rank, plus one
@@ -455,7 +456,7 @@ class Environment:
         """Charge `count` experiments and draw that many realizations, shape
         (count, nodes), under one arm or a (B, nodes) matrix of arms, as
         `sample_batch` does. `BudgetError` is raised before anything is
-        drawn."""
+        drawn; a draw that fails charges nothing."""
         raise NotImplementedError
 
     @property
@@ -478,10 +479,9 @@ class SimulatedEnvironment(Environment):
         if self._max is not None and self._used + count > self._max:
             raise BudgetError(
                 f"experiment budget exhausted: {self._used}+{count} > {self._max}")
+        omega = sample_batch(self._instance.table, self._instance.dag, arm, count, self._rng)
         self._used += count
-        values = arm.values if isinstance(arm, Intervention) else arm
-        return sample_batch(self._instance.table, self._instance.dag, values,
-                            count, self._rng)
+        return omega
 
     @property
     def experiments_used(self) -> int:

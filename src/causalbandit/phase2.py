@@ -22,7 +22,7 @@ from .allocation import MinimizeResult, RatioObjective, minimize, vote_share
 from .errors import ParameterError
 # parent_probabilities is unused here; perfbench/tracer.py's TRACE_POINTS looks it up
 from .inference import Environment, parent_probabilities  # noqa: F401
-from .model import FREE, ConditionalTable, as_rng
+from .model import ConditionalTable, as_rng
 from .phase1 import Phase1Result, fold_counts, rate_estimates
 
 WEIGHT_CLIP = 1e-12
@@ -31,16 +31,15 @@ WEIGHT_CLIP = 1e-12
 def build_allocation_objective(phase1: Phase1Result) -> RatioObjective:
     """Ratio objective over the surviving pairs, read off phase 1's reach, with
     offsets best reach / row count. A pair survives when at least one of its
-    two conditional values escaped truncation."""
-    free = phase1.arms.matrix.T == FREE
-    rows, masks, offsets = [], [], []
+    two conditional values escaped truncation. Reach is zero wherever an arm
+    fixes the node, so such an arm neither scores nor informs its terms."""
+    rows, offsets = [], []
     for n in phase1.uncertain_nodes:
         kept = np.flatnonzero(~phase1.truncation.dropped_rows(n))
         rows.extend(phase1.reach[n][:, kept].T)
-        masks.extend([free[n]] * len(kept))
         offsets.extend(phase1.best_value[n][kept] / phase1.uncertain_rows)
     shape = (len(rows), len(phase1.arms))  # holds when no pair survives, too
-    return RatioObjective(np.reshape(rows, shape), np.reshape(masks, shape), np.array(offsets))
+    return RatioObjective(np.reshape(rows, shape), np.array(offsets))
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,6 @@ class Phase2Result:
     seen: tuple[np.ndarray, ...]
     seen_one: tuple[np.ndarray, ...]
     weights: np.ndarray
-    mode: str
     draws: int
     solver: MinimizeResult | None
 
@@ -90,7 +88,6 @@ def run_phase2(env: Environment, phase1: Phase1Result, mode: str, rng) -> Phase2
         seen=dag.split_rows(seen),
         seen_one=dag.split_rows(counts[:, 1]),
         weights=weights,
-        mode=mode,
         draws=draws,
         solver=solver,
     )

@@ -25,9 +25,7 @@ from conftest import random_instance
 
 
 def single_term(n_arms):
-    values = np.ones((1, n_arms))
-    include = np.ones((1, n_arms), dtype=bool)
-    return RatioObjective(values, include, np.zeros(1))
+    return RatioObjective(np.ones((1, n_arms)), np.zeros(1))
 
 
 @pytest.mark.parametrize("n_arms", [1, 2, 5, 17])
@@ -40,13 +38,12 @@ def test_uniform_single_unit_term_evaluates_to_one(n_arms):
 
 def test_hand_built_two_term_objective():
     # term 0 belongs to both arms, term 1 only to arm 1
-    values = np.array([[0.5, 0.25], [0.1, 0.8]])
-    include = np.array([[True, True], [False, True]])
+    values = np.array([[0.5, 0.25], [0.0, 0.8]])
     offset = np.array([0.0, 0.05])
-    obj = RatioObjective(values, include, offset)
+    obj = RatioObjective(values, offset)
     w = np.array([0.6, 0.4])
     d0 = 0.5 * 0.6 + 0.25 * 0.4
-    d1 = 0.1 * 0.6 + 0.8 * 0.4 + 0.05
+    d1 = 0.8 * 0.4 + 0.05
     expect0 = 0.25 / d0
     expect1 = 0.0625 / d0 + 0.64 / d1
     value, arg = evaluate(obj, w)
@@ -56,7 +53,7 @@ def test_hand_built_two_term_objective():
 
 def test_objective_rejects_zero_arms():
     with pytest.raises(ParameterError):
-        RatioObjective(np.zeros((0, 0)), np.zeros((0, 0), dtype=bool), np.zeros(0))
+        RatioObjective(np.zeros((0, 0)), np.zeros(0))
 
 
 def test_evaluate_rejects_wrong_dimension():
@@ -66,9 +63,7 @@ def test_evaluate_rejects_wrong_dimension():
 
 
 def test_zero_denominator_with_live_numerator_raises():
-    values = np.array([[1.0, 0.0]])
-    include = np.array([[True, False]])
-    obj = RatioObjective(values, include, np.zeros(1))
+    obj = RatioObjective(np.array([[1.0, 0.0]]), np.zeros(1))
     with pytest.raises(IllPosedObjectiveError):
         evaluate(obj, np.array([0.0, 1.0]))
 
@@ -76,15 +71,13 @@ def test_zero_denominator_with_live_numerator_raises():
 def test_tiny_numerators_are_dropped():
     # squared value sits below the cutoff, so the row never contributes
     small = np.sqrt(NUMERATOR_CUTOFF) / 10
-    values = np.array([[small, 0.0]])
-    include = np.array([[True, False]])
-    obj = RatioObjective(values, include, np.zeros(1))
+    obj = RatioObjective(np.array([[small, 0.0]]), np.zeros(1))
     value, _ = evaluate(obj, np.array([0.0, 1.0]))
     assert value == 0.0
 
 
 def test_empty_objective_evaluates_to_zero():
-    obj = RatioObjective(np.zeros((0, 4)), np.zeros((0, 4), dtype=bool), np.zeros(0))
+    obj = RatioObjective(np.zeros((0, 4)), np.zeros(0))
     value, arg = evaluate(obj, np.full(4, 0.25))
     assert value == 0.0 and arg == 0
     res = minimize(obj)
@@ -94,7 +87,7 @@ def test_empty_objective_evaluates_to_zero():
 
 def test_minimize_sizes_nothing_by_the_iteration_cap():
     # an iteration cap far beyond memory would fail any buffer sized by it
-    obj = RatioObjective(np.zeros((0, 3)), np.zeros((0, 3), dtype=bool), np.zeros(0))
+    obj = RatioObjective(np.zeros((0, 3)), np.zeros(0))
     res = minimize(obj, SolverConfig(max_iters=10**15))
     assert res.converged and res.iterations == 1
 
@@ -108,20 +101,18 @@ def test_minimize_sizes_nothing_by_the_iteration_cap():
 def test_objective_rejects_non_finite_inputs(values, offset):
     # these used to solve to a "converged" value of inf or 0
     with pytest.raises(ParameterError):
-        RatioObjective(values, np.ones((1, 2), dtype=bool), offset)
+        RatioObjective(values, offset)
 
 
 def test_dead_row_with_zero_denominator_does_not_change_the_solve():
     # the all-zero row is dead and its denominator is 0 at every iterate, so
     # every iteration takes the branch that puts 1 in its place
-    values = np.array([[0.5, 0.25, 0.1], [0.1, 0.8, 0.3]])
-    include = np.array([[True, True, False], [False, True, True]])
+    values = np.array([[0.5, 0.25, 0.0], [0.0, 0.8, 0.3]])
     offset = np.array([0.0, 0.05])
     config = SolverConfig(max_iters=300)
-    want = minimize(RatioObjective(values, include, offset), config)
-    got = minimize(RatioObjective(np.vstack([values, np.zeros(3)]),
-                                  np.vstack([include, np.ones(3, dtype=bool)]),
-                                  np.append(offset, 0.0)), config)
+    want = minimize(RatioObjective(values, offset), config)
+    got = minimize(RatioObjective(np.vstack([values, np.zeros(3)]), np.append(offset, 0.0)),
+                   config)
     assert np.array_equal(got.weights, want.weights)
     assert (got.value, got.gap, got.iterations) == (want.value, want.gap, want.iterations)
 
@@ -129,9 +120,7 @@ def test_dead_row_with_zero_denominator_does_not_change_the_solve():
 @pytest.mark.parametrize("k", [2, 3, 6])
 def test_minimize_indicator_terms_closed_form(k):
     # term i counts only for arm i with value 1: max_i 1/w_i, optimum k at uniform
-    values = np.eye(k)
-    include = np.eye(k, dtype=bool)
-    obj = RatioObjective(values, include, np.zeros(k))
+    obj = RatioObjective(np.eye(k), np.zeros(k))
     res = minimize(obj)
     assert res.value == pytest.approx(k, rel=1e-3)
     assert np.allclose(res.weights, 1.0 / k, atol=5e-3)
@@ -139,7 +128,7 @@ def test_minimize_indicator_terms_closed_form(k):
 
 def test_minimize_raises_on_ill_posed_objective():
     # the one term's denominator is 1 * w0 + 1 * w1 - 1 = 0 on the whole simplex
-    obj = RatioObjective(np.array([[1.0, 1.0]]), np.ones((1, 2), dtype=bool), np.array([-1.0]))
+    obj = RatioObjective(np.array([[1.0, 1.0]]), np.array([-1.0]))
     with pytest.raises(IllPosedObjectiveError):
         minimize(obj)
 
@@ -153,7 +142,7 @@ def test_minimize_raises_on_ill_posed_objective():
     [1.0],                  # wrong length
 ])
 def test_minimize_rejects_extra_start_off_the_simplex(start):
-    obj = RatioObjective(np.array([[0.5, 0.5]]), np.ones((1, 2), dtype=bool), np.zeros(1))
+    obj = RatioObjective(np.array([[0.5, 0.5]]), np.zeros(1))
     with pytest.raises(ParameterError):
         minimize(obj, extra_starts=[start])
 
@@ -161,7 +150,7 @@ def test_minimize_rejects_extra_start_off_the_simplex(start):
 def test_minimize_keeps_a_better_extra_start_on_the_simplex():
     # max(1/w0, 2/w1) is 4 at uniform weights and 3, its optimum, at (1/3, 2/3)
     values = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
-    obj = RatioObjective(values, values > 0, np.zeros(3))
+    obj = RatioObjective(values, np.zeros(3))
     start = np.array([1.0 / 3.0, 2.0 / 3.0])
     res = minimize(obj, SolverConfig(max_iters=1), extra_starts=[start])
     assert np.array_equal(res.weights, start)
@@ -172,7 +161,7 @@ def random_objective(rng, n_terms, n_arms):
     values = rng.random((n_terms, n_arms))
     include = rng.random((n_terms, n_arms)) < 0.7
     offset = rng.random(n_terms) * 0.2 + 0.05
-    return RatioObjective(values, include, offset)
+    return RatioObjective(np.where(include, values, 0.0), offset)
 
 
 def random_simplex(rng, k):
@@ -214,7 +203,7 @@ def test_minimize_result_weights_on_simplex():
 def test_gap_certificate_bounds_value():
     # for the indicator objective the true optimum is k, so value - gap <= k
     k = 4
-    obj = RatioObjective(np.eye(k), np.eye(k, dtype=bool), np.zeros(k))
+    obj = RatioObjective(np.eye(k), np.zeros(k))
     res = minimize(obj)
     assert res.value - res.gap <= k + 1e-9
     assert res.value >= k - 1e-9
@@ -258,13 +247,14 @@ def test_counting_candidate_matches_vote_shares():
 def _reference_minimize(objective, config):
     """Reference solver loop with the same update step as `minimize`, but row
     sums taken along axis 0 of a (terms, arms) quotient and a denominator pass
-    in both the evaluation and the subgradient."""
-    values, include, offset = objective.values, objective.include, objective.offset
-    numer = values ** 2 * include
+    in both the evaluation and the subgradient. A numerator counts where its
+    square reaches the cutoff."""
+    values, offset = objective.values, objective.offset
+    numer = np.where(values ** 2 >= NUMERATOR_CUTOFF, values ** 2, 0.0)
 
     def denominators(w):
         denom = values @ w + offset
-        if np.any(include.any(axis=1) & (denom <= 0.0)):
+        if np.any((numer > 0.0).any(axis=1) & (denom <= 0.0)):
             raise IllPosedObjectiveError("zero denominator")
         return np.where(denom > 0.0, denom, 1.0)
 
@@ -297,8 +287,9 @@ def _reference_minimize(objective, config):
 
 
 def reference_case(rng):
-    """Random objective with zero or positive offsets, a partial include mask
-    and some arms duplicated (values and mask), so that arms tie exactly."""
+    """Random objective with zero or positive offsets, entries zeroed by a
+    random mask, and some arms duplicated (values and mask), so that arms tie
+    exactly."""
     n_terms, n_arms = int(rng.integers(1, 12)), int(rng.integers(2, 9))
     values = rng.random((n_terms, n_arms))
     include = rng.random((n_terms, n_arms)) < 0.6
@@ -307,7 +298,7 @@ def reference_case(rng):
             src = int(rng.integers(0, dup))
             values[:, dup], include[:, dup] = values[:, src], include[:, src]
     offset = np.zeros(n_terms) if rng.random() < 0.5 else rng.random(n_terms) * 0.2
-    return RatioObjective(values, include, offset)
+    return RatioObjective(np.where(include, values, 0.0), offset)
 
 
 def test_minimize_takes_the_reference_loops_steps():
@@ -352,9 +343,9 @@ def test_dead_rows_at_zero_offset_take_the_reference_loops_steps():
         dead = int(rng.integers(1, 4))
         at = np.sort(rng.integers(0, live.n_terms + 1, size=dead))
         values = np.insert(live.values, at, 0.0, axis=0)
-        include = np.insert(live.include, at, rng.random((dead, live.n_arms)) < 0.6, axis=0)
+        rng.random((dead, live.n_arms))  # each dead row's mask: a zero row has nothing to mask
         offset = np.insert(live.offset, at, -0.0 if case % 2 else 0.0)
-        obj = RatioObjective(values, include, offset)
+        obj = RatioObjective(values, offset)
         weights, value, _, converged, iters = _reference_minimize(obj, config)
         res = minimize(obj, config)
         assert np.array_equal(res.weights, weights)
@@ -370,8 +361,8 @@ def test_minimize_iterations_allocate_nothing(offset_scale):
     # the traced peak of a 1,000-iteration solve above a 10-iteration one; the
     # first solve runs untraced, so numpy's one-time caches are not counted
     rng = np.random.default_rng(13)
-    obj = RatioObjective(rng.random((40, 60)) + 0.01, rng.random((40, 60)) < 0.7,
-                         rng.random(40) * offset_scale)
+    values, include = rng.random((40, 60)) + 0.01, rng.random((40, 60)) < 0.7
+    obj = RatioObjective(np.where(include, values, 0.0), rng.random(40) * offset_scale)
     minimize(obj, SolverConfig(max_iters=10))
     peaks = []
     tracemalloc.start()

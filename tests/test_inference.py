@@ -246,6 +246,42 @@ def test_environment_ledger_and_budget():
     assert env.experiments_used == 10
 
 
+def _with_bad_entry(arm, dtype, bad):
+    values = np.array(arm, dtype=dtype)
+    values[0] = bad
+    return values
+
+
+BAD_ARMS = {
+    "int64-255": lambda arm: _with_bad_entry(arm, np.int64, 255),
+    "float-half": lambda arm: _with_bad_entry(arm, np.float64, 0.5),
+    "list-255": lambda arm: _with_bad_entry(arm, np.int64, 255).tolist(),
+    "two-arms-long": lambda arm: np.concatenate([arm, arm]),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_ARMS))
+def test_the_sampler_checks_its_arms_before_drawing(bad):
+    """The sampler's arms pass the check a query's pass, before the ledger
+    or the generator moves. A cast before the check would draw an int64 255
+    as a free node and a float 0.5 as clamp 0, raise OverflowError on a list
+    with 255 after charging 10 experiments, and split a 2N-long arm into two
+    arms."""
+    inst = make_binary_tree_instance(2, 2, rng_seed=3)
+    arm_values = BAD_ARMS[bad](inst.arms.matrix[0])
+    untouched = np.random.default_rng(5).bit_generator.state
+    rng = np.random.default_rng(5)
+    env = SimulatedEnvironment(inst, rng, max_experiments=10)
+    with pytest.raises(BudgetError):  # the budget is checked first
+        env.intervene_many(arm_values, 11)
+    with pytest.raises(ParameterError):
+        env.intervene_many(arm_values, 10)
+    with pytest.raises(ParameterError):
+        sample_batch(inst.table, inst.dag, arm_values, 10, rng)
+    assert env.experiments_used == 0
+    assert rng.bit_generator.state == untouched
+
+
 def test_environment_respects_clamps():
     rng = np.random.default_rng(11)
     inst = random_instance(rng, 6, 3, free_prob=0.4)

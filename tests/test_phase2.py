@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from causalbandit import inference
 from causalbandit.allocation import evaluate, vote_share
 from causalbandit.errors import ParameterError
-from causalbandit.inference import SimulatedEnvironment
+from causalbandit.inference import SimulatedEnvironment, parent_probabilities
 from causalbandit.model import (
     FREE,
     CausalDag,
@@ -16,6 +18,8 @@ from causalbandit.phase1 import run_phase1
 from causalbandit.phase2 import build_allocation_objective, run_phase2
 
 from conftest import random_instance
+from test_parent_marginals import networks
+from test_phase1_skip import chain_instance
 
 
 def copy_chain_instance():
@@ -161,6 +165,48 @@ def test_objective_hand_value_on_chain():
     assert obj.n_terms == 5
     value, _ = evaluate(obj, np.array([1.0]))
     assert value == pytest.approx(3.0 / (1.0 + 0.2), rel=1e-12)
+
+
+def assert_terms_are_zero_where_the_arm_fixes_the_node(inst, horizon, scale, seed):
+    """The clamp rule's one encoding, which `RatioObjective` relies on: a
+    parent query's row is exactly zero where the arm fixes the node, and so
+    is the objective's value, for a node phase 1 queried or drew in its
+    zero-mass tail alike."""
+    dag, arms = inst.dag, inst.arms
+    fixed = arms.matrix != FREE
+    for n in range(dag.node_count):
+        assert not parent_probabilities(inst.table, dag, n, arms)[fixed[:, n]].any()
+    p1 = run_phase1(SimulatedEnvironment(inst, seed), dag, arms, scale, horizon)
+    node = np.repeat(p1.uncertain_nodes, [np.count_nonzero(~p1.truncation.dropped_rows(n))
+                                          for n in p1.uncertain_nodes])
+    values = build_allocation_objective(p1).values
+    assert values.shape == (len(node), len(arms))
+    assert not values[fixed[:, node].T].any()
+    return p1
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.sampled_from([3, 9]), st.sampled_from([0.0, 1e-9]),
+       st.integers(0, 2 ** 16))
+def test_terms_are_exactly_zero_where_the_arm_fixes_the_node(net, multiplier, scale, seed):
+    table, dag, arms = net
+    assume(arms.uncertain_nodes)
+    inst = Instance(dag, table, arms)
+    assert_terms_are_zero_where_the_arm_fixes_the_node(inst, multiplier * inst.uncertain_rows,
+                                                       scale, seed)
+
+
+def test_tail_terms_are_exactly_zero_where_the_arm_fixes_the_node():
+    """The 40-node chain's mass dies within a few nodes, so node 30, which
+    the first arm clamps, is drawn in phase 1's tail; without truncation its
+    rows stay in the objective."""
+    chain = chain_instance(40)
+    matrix = np.full((2, 40), FREE)
+    matrix[0, 30] = 1
+    inst = Instance(chain.dag, chain.table, InterventionSet(matrix))
+    p1 = assert_terms_are_zero_where_the_arm_fixes_the_node(
+        inst, 3 * inst.uncertain_rows, 0.0, 0)
+    assert not p1.reach[30].any() and not p1.truncation.dropped_rows(30).any()
 
 
 def test_truncated_pairs_leave_objective():
