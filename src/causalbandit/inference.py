@@ -162,8 +162,11 @@ def brute_force_parent_probability(table: ConditionalTable, dag: CausalDag, n: i
 def _arm_matrix(arms, dag: CausalDag, n: int | None = None) -> np.ndarray:
     """The arms as an (arms, nodes) int8 matrix, checked against the graph
     and, for a parent query, the queried node n. An `InterventionSet`'s
-    matrix was checked when it was made and is read-only; other arms go
-    through `arm_matrix`, one arm's values as one row."""
+    matrix was checked when the set was made and is read-only, and so is
+    that of a subset `InterventionSet.take` makes, so a set is taken as it
+    is. Callers pass rows of a set as `arms.take(rows)`: a slice of
+    `arms.matrix` is raw values, and raw values go through `arm_matrix`,
+    one arm's values as one row."""
     if isinstance(arms, InterventionSet):
         m = arms.matrix
     else:
@@ -413,7 +416,7 @@ def even_split(count: int, k: int) -> np.ndarray:
 def sample_batch(table: ConditionalTable, dag: CausalDag, arm_values, count: int,
                  rng) -> np.ndarray:
     """Draw `count` realizations, shape (count, nodes), under one arm or a
-    (B, nodes) matrix of arms, by the rules in the module docstring."""
+    (B, nodes) matrix or set of arms, by the rules in the module docstring."""
     order, column, levels = dag.levels
     # arms past the count draw nothing, so they are left out
     values = _arm_matrix(arm_values, dag)[:max(count, 1)]
@@ -454,8 +457,8 @@ class Environment:
 
     def intervene_many(self, arm, count: int) -> np.ndarray:
         """Charge `count` experiments and draw that many realizations, shape
-        (count, nodes), under one arm or a (B, nodes) matrix of arms, as
-        `sample_batch` does. `BudgetError` is raised before anything is
+        (count, nodes), under one arm or a (B, nodes) matrix or set of arms,
+        as `sample_batch` does. `BudgetError` is raised before anything is
         drawn; a draw that fails charges nothing."""
         raise NotImplementedError
 

@@ -32,15 +32,26 @@ def as_rng(seed_or_rng) -> np.random.Generator:
     return np.random.default_rng(seed_or_rng)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class CausalDag:
-    """Directed acyclic graph over binary nodes, stored as per-node parent tuples."""
+    """Directed acyclic graph over binary nodes, stored as per-node parent tuples.
+    The arrays it caches are read-only, since one graph may serve many sweeps."""
 
     parents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         norm = tuple(tuple(int(p) for p in ps) for ps in self.parents)
         object.__setattr__(self, "parents", norm)
+
+    def __reduce__(self):
+        """Pickle the parents alone, so that a copy, such as a sweep worker's,
+        rebuilds its caches read-only."""
+        return CausalDag, (self.parents,)
 
     @property
     def node_count(self) -> int:
@@ -58,12 +69,12 @@ class CausalDag:
         keys = np.zeros((self.node_count, self.node_count), dtype=np.int64)
         for n, ps in enumerate(self.parents):
             keys[list(ps), n] = 1 << np.arange(len(ps) - 1, -1, -1)
-        return keys
+        return _read_only(keys)
 
     @cached_property
     def row_offsets(self) -> np.ndarray:
         """N + 1 starts of each node's block in the flat (total rows, 2) count space."""
-        return np.cumsum([0] + [self.row_count(n) for n in range(self.node_count)])
+        return _read_only(np.cumsum([0] + [self.row_count(n) for n in range(self.node_count)]))
 
     @cached_property
     def levels(self) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -71,23 +82,25 @@ class CausalDag:
         by depth (a root 0, else one more than its deepest parent), `column`
         the inverse, and row N zeros. Per depth: its rows [start, end), its
         nodes' parent rows front-padded with row N, slot-major, the slots' bit
-        weights and the nodes' row offsets."""
+        weights and the nodes' row offsets. Every array is read-only."""
         depth, n_nodes = [], self.node_count
         for ps in self.parents:
             depth.append(1 + max((depth[p] for p in ps), default=-1))
         order = sorted(range(n_nodes), key=depth.__getitem__)
         column = np.empty(n_nodes + 1, dtype=np.intp)
         column[order + [n_nodes]] = np.arange(n_nodes + 1)
+        _read_only(column)
         steps = []
         for _, group in itertools.groupby(order, depth.__getitem__):
             nodes = list(group)
             k = max(len(self.parents[n]) for n in nodes)
             pad = [(n_nodes,) * (k - len(self.parents[n])) + self.parents[n] for n in nodes]
             start = column[nodes[0]]
-            steps.append((start, start + len(nodes), column[np.array(pad, dtype=np.intp).T.ravel()],
-                          (1 << np.arange(k - 1, -1, -1)).astype(float),
-                          self.row_offsets[nodes][:, None]))
-        return np.array(order), column[:-1], tuple(steps)
+            steps.append((start, start + len(nodes),
+                          _read_only(column[np.array(pad, dtype=np.intp).T.ravel()]),
+                          _read_only((1 << np.arange(k - 1, -1, -1)).astype(float)),
+                          _read_only(self.row_offsets[nodes][:, None])))
+        return _read_only(np.array(order)), column[:-1], tuple(steps)
 
     @property
     def total_rows(self) -> int:
@@ -138,8 +151,7 @@ def _frozen_rows(rows) -> np.ndarray:
     arr = np.array(rows, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ParameterError("each table must have shape (2^k, 2)")
-    arr.flags.writeable = False
-    return arr
+    return _read_only(arr)
 
 
 def _sums_to_one(rows: np.ndarray) -> np.ndarray:
@@ -244,12 +256,24 @@ class InterventionSet:
     """Ordered collection of interventions, stored as an (arms, nodes) int8 matrix."""
 
     def __init__(self, matrix):
-        self.matrix = arm_matrix(matrix)
-        self.matrix.flags.writeable = False
+        self.matrix = _read_only(arm_matrix(matrix))
+
+    @classmethod
+    def _trusted(cls, matrix: np.ndarray) -> "InterventionSet":
+        """A set over an int8 matrix that is valid by construction, so neither
+        checked nor copied; the matrix is made read-only."""
+        arms = object.__new__(cls)
+        arms.matrix = _read_only(matrix)
+        return arms
 
     @classmethod
     def from_interventions(cls, arms) -> "InterventionSet":
         return cls([a.values for a in arms])
+
+    def take(self, rows) -> "InterventionSet":
+        """The arms at `rows`, an index array, as a new read-only set that is
+        not checked again (the rule is in `inference._arm_matrix`)."""
+        return self._trusted(self.matrix[np.atleast_1d(rows)])
 
     def __len__(self):
         return self.matrix.shape[0]
@@ -417,10 +441,7 @@ def _subset_arms(n_nodes: int, target_nodes, budget: int, smallest: int,
     chosen = itertools.chain.from_iterable(itertools.combinations(targets, k) for k in sizes)
     for row, subset in zip(matrix, chosen):
         row[list(subset)] = 1
-    matrix.flags.writeable = False
-    arms = object.__new__(InterventionSet)  # valid by construction, so neither checked nor copied
-    arms.matrix = matrix
-    return arms
+    return InterventionSet._trusted(matrix)
 
 
 def enumerate_budget_interventions(n_nodes: int, target_nodes, budget: int) -> InterventionSet:

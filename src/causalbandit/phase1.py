@@ -152,7 +152,6 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
     best_value = np.zeros(dag.total_rows)
     reach = [np.zeros((len(arms), r)) for r in rows]
     row_node = np.repeat(np.arange(dag.node_count), rows)
-    matrix = arms.matrix
 
     def scan(nodes, table):
         """Pull each pair of `nodes` under its best arm for its batch, every
@@ -164,9 +163,9 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
             best_arm[at] = np.argmax(reach[m], axis=0)
             best_value[at] = reach[m][best_arm[at], np.arange(rows[m])]
         # pair i's batch is the per_pair draws from i * per_pair
-        pulled = matrix[best_arm[pairs]]
+        pulled = arms.take(best_arm[pairs])
         omega = env.intervene_many(pulled, len(pairs) * per_pair)
-        draw_arms = pulled.repeat(per_pair, axis=0)
+        draw_arms = pulled.matrix.repeat(per_pair, axis=0)
         shared[:] += fold_counts(dag, draw_arms, omega)
         pair = pairs.repeat(per_pair)  # each draw's pair, and its node
         node, draws = row_node[pair], np.arange(len(pair))
@@ -186,7 +185,7 @@ def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
         # the query reads only nodes before n, so one per node serves every row
         reach[n] = parent_probabilities(table, dag, n, arms)
         if exact_zeros:
-            alive &= (matrix[:, n] != FREE) | reach[n].any(axis=1)
+            alive &= (arms.matrix[:, n] != FREE) | reach[n].any(axis=1)
         table = scan([n], table)
         if not alive.any():
             if uncertain[i + 1:]:  # the tail's reach stays zero

@@ -73,12 +73,13 @@ def run_phase2(env: Environment, phase1: Phase1Result, mode: str, rng) -> Phase2
     picks = np.searchsorted(np.cumsum(weights), rng.random(draws), side="right")
     pick_counts = np.bincount(np.clip(picks, 0, len(arms) - 1), minlength=len(arms))
     counts = phase1.shared.copy() if mode == "practical" else np.zeros_like(phase1.shared)
-    replay = arms.matrix[np.concatenate([phase1.best_arm[n] for n in phase1.uncertain_nodes])]
-    counts += fold_counts(dag, np.repeat(replay, phase1.per_pair, axis=0),
+    replay = arms.take(np.concatenate([phase1.best_arm[n] for n in phase1.uncertain_nodes]))
+    counts += fold_counts(dag, np.repeat(replay.matrix, phase1.per_pair, axis=0),
                           env.intervene_many(replay, len(replay) * phase1.per_pair))
     for arm_idx in np.flatnonzero(pick_counts):  # unequal counts: one call per arm
-        arm = arms.matrix[arm_idx]
-        counts += fold_counts(dag, arm, env.intervene_many(arm, int(pick_counts[arm_idx])))
+        arm = arms.take(arm_idx)
+        counts += fold_counts(dag, arm.matrix,
+                              env.intervene_many(arm, int(pick_counts[arm_idx])))
 
     seen = counts.sum(axis=1)
     rates = dag.split_rows(rate_estimates(seen, counts[:, 1]))  # zero on nodes no arm frees

@@ -66,7 +66,7 @@ def run_uniform_baseline(env: Environment, dag: CausalDag, arms: InterventionSet
     k = len(arms)
     pulls = even_split(horizon, k)  # the split `intervene_many` makes
     before = env.experiments_used
-    omega = env.intervene_many(arms.matrix, horizon)
+    omega = env.intervene_many(arms, horizon)
     mu_hat = np.bincount(np.repeat(np.arange(k), pulls), weights=omega[:, -1],
                          minlength=k) / np.maximum(pulls, 1)
     chosen = int(np.argmax(mu_hat))
@@ -103,7 +103,7 @@ def run_successive_rejects(env: Environment, dag: CausalDag, arms: InterventionS
     before = env.experiments_used
     for add, run in zip(adds[pulling].tolist(), retire.tolist()):
         live = np.flatnonzero(active)
-        omega = env.intervene_many(arms.matrix[live], add * len(live))
+        omega = env.intervene_many(arms.take(live), add * len(live))
         sums[live] += omega[:, -1].reshape(len(live), add).sum(axis=1)
         pulls[live] += add
         means = np.where(pulls > 0, sums / np.maximum(pulls, 1), 0.0)

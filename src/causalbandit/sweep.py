@@ -9,15 +9,18 @@ sweep draws each table once, up front, per (budget, multiplier, table
 trial), and every strategy of that row of cells gets the same `Instance`
 objects in its payload; an instance's reward vector is computed by one sweep
 on first use and kept (`Instance.rewards`), so regret scoring runs once per
-table, not once per strategy. The graph is loaded once per sweep and the
-arms are built once per budget. Cells may be fanned out over processes via
-the CAUSALBANDIT_WORKERS environment variable, each worker scoring its own
-copy of a cell's instances; results are reduced in a fixed order either way.
+table, not once per strategy. A bundled network is parsed once per process,
+and its one frozen `CausalDag` serves every sweep; a file path is parsed on
+every sweep. The arms are built once per budget. Cells may be fanned out
+over processes via the CAUSALBANDIT_WORKERS environment variable, each
+worker scoring its own copy of a cell's instances; results are reduced in a
+fixed order either way.
 Cells where successive rejects could pull nothing (horizon at most the arm
 count) run as usual and are listed in `RegretReport.warnings`.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 import time
@@ -181,15 +184,19 @@ def load_structure(config: ExperimentConfig) -> tuple[str, CausalDag, tuple[int,
         targets = tuple(range(1 << config.tree_height))
         return f"tree-h{config.tree_height}", dag, targets
     name = config.bif
-    if os.path.exists(name):
+    if os.path.exists(name):  # a file may change, so it is read on every call
         with open(name, encoding="utf-8") as handle:
-            net = parse_bif(handle.read())
+            dag, _ = to_causal_dag(parse_bif(handle.read()))
         label = os.path.splitext(os.path.basename(name))[0]
     else:
-        net = load_bundled(name)
-        label = name
-    dag, _ = to_causal_dag(net)
+        dag, label = _bundled_dag(name), name
     return label, dag, dag.roots
+
+
+@functools.lru_cache(maxsize=None)  # a name that raises is not kept, so only bundled ones are
+def _bundled_dag(name: str) -> CausalDag:
+    """The graph of a bundled network, parsed once per process and shared."""
+    return to_causal_dag(load_bundled(name))[0]
 
 
 def build_arms(config: ExperimentConfig, dag: CausalDag, targets, budget: int):

@@ -21,6 +21,7 @@ import pathlib
 
 import pytest
 
+from causalbandit import sweep
 from causalbandit.allocation import SolverConfig, allocation_complexity
 from causalbandit.cli import main
 from causalbandit.inference import SimulatedEnvironment
@@ -56,6 +57,20 @@ def test_sweep_report_matches_stored_csv(name, monkeypatch):
     monkeypatch.setenv("CAUSALBANDIT_WORKERS", "1")
     want = (DATA / name).read_text(encoding="utf-8")
     assert run_sweep(CASES[name]).to_csv() == want
+
+
+def test_a_shared_network_leaks_no_state_between_sweeps(monkeypatch):
+    """A bundled network's graph is parsed once per process and serves every
+    sweep, so a sweep that runs on it warm must give the same bytes as one
+    that parses it cold."""
+    monkeypatch.setenv("CAUSALBANDIT_WORKERS", "1")
+    want = (DATA / "golden_alarm_b2.csv").read_text(encoding="utf-8")
+    sweep._bundled_dag.cache_clear()
+    cold = run_sweep(CASES["golden_alarm_b2.csv"]).to_csv()
+    assert sweep._bundled_dag.cache_info().currsize == 1
+    warm = run_sweep(CASES["golden_alarm_b2.csv"]).to_csv()
+    assert sweep._bundled_dag.cache_info().hits >= 1
+    assert (cold, warm) == (want, want)
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from causalbandit import inference, model
 from causalbandit.errors import BudgetError, CapacityError, ParameterError
 from causalbandit.inference import (
     SimulatedEnvironment,
@@ -280,6 +281,30 @@ def test_the_sampler_checks_its_arms_before_drawing(bad):
         sample_batch(inst.table, inst.dag, arm_values, 10, rng)
     assert env.experiments_used == 0
     assert rng.bit_generator.state == untouched
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 100])
+def test_a_subset_of_a_set_is_drawn_as_its_rows_are_without_a_check(count, monkeypatch):
+    """`arms.take(rows)` draws the same bits as the raw rows and leaves the
+    generator in the same state, and its entries are not checked again."""
+    inst = make_binary_tree_instance(3, 2, rng_seed=4)
+    rows = np.array([5, 0, 5, 27, 3])
+    checks = []
+    counted = inference.arm_matrix
+
+    def counting(values):
+        checks.append(np.shape(values))
+        return counted(values)
+
+    for module in (model, inference):  # the check, wherever it is looked up
+        monkeypatch.setattr(module, "arm_matrix", counting)
+    rngs = [np.random.default_rng(9) for _ in range(2)]
+    got = sample_batch(inst.table, inst.dag, inst.arms.take(rows), count, rngs[0])
+    assert checks == []
+    want = sample_batch(inst.table, inst.dag, inst.arms.matrix[rows], count, rngs[1])
+    assert checks == [(len(rows), inst.dag.node_count)]
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 def test_environment_respects_clamps():

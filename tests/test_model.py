@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -374,3 +375,45 @@ def test_intervention_set_peaks_within_four_matrices_and_copies():
     assert np.array_equal(arms.matrix, matrix) and arms.matrix.dtype == np.int8
     assert not np.shares_memory(arms.matrix, matrix) and not arms.matrix.flags.writeable
     assert peak <= 4 * matrix.nbytes
+
+
+def cached_graph_arrays(dag):
+    """Every array a graph caches, by name."""
+    order, column, steps = dag.levels
+    arrays = {"row_keys": dag.row_keys, "row_offsets": dag.row_offsets,
+              "levels order": order, "levels column": column}
+    for depth, (_, _, cols, weights, offsets) in enumerate(steps):
+        arrays.update({f"levels {depth} cols": cols, f"levels {depth} weights": weights,
+                       f"levels {depth} offsets": offsets})
+    return arrays
+
+
+@pytest.mark.parametrize("pickled", [False, True])
+@pytest.mark.parametrize("height", [1, 3])
+def test_a_graphs_cached_arrays_are_read_only(height, pickled):
+    """One graph may serve every sweep of a process, so a write to what it
+    caches would reach every later sweep. A pickled copy, as a worker gets
+    one, rebuilds its caches read-only too."""
+    dag = make_binary_tree_dag(height)
+    if pickled:
+        cached_graph_arrays(dag)
+        dag = pickle.loads(pickle.dumps(dag))
+        assert not dag.__dict__.keys() & {"row_keys", "row_offsets", "levels"}
+    arrays = cached_graph_arrays(dag)
+    assert len(arrays) == 4 + 3 * (height + 1)
+    for name, arr in arrays.items():
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+
+
+def test_take_is_a_read_only_subset_of_the_same_rows():
+    arms = enumerate_budget_interventions(5, range(4), 2)
+    rows = np.array([4, 0, 4])
+    sub = arms.take(rows)
+    assert isinstance(sub, InterventionSet)
+    assert sub.matrix.dtype == np.int8
+    assert np.array_equal(sub.matrix, arms.matrix[rows])
+    assert not sub.matrix.flags.writeable
+    assert np.array_equal(arms.take(2).matrix, arms.matrix[[2]])  # one row is a set of one
+    assert [str(a) for a in sub] == [str(arms[4]), str(arms[0]), str(arms[4])]

@@ -1,5 +1,6 @@
 """Sweep harness: seed mixing, config parsing, report shape, determinism."""
 import concurrent.futures
+import itertools
 import math
 import os
 import pathlib
@@ -369,3 +370,46 @@ def test_tree_horizon_uses_uncertain_rows():
                               trials=1, strategies=("uniform",))
     report = run_sweep(config)
     assert report.rows[0].horizon == 5 * 60
+
+
+def test_a_bundled_network_is_parsed_once_and_shared():
+    config = ExperimentConfig(source="bif", bif="water")
+    first, second = load_structure(config), load_structure(config)
+    assert second[1] is first[1]
+    assert second == first
+
+
+def small_bif(edges) -> str:
+    """Three two-state variables A, B, C with the given (parent, child) edges."""
+    lines = ["network small {", "}"]
+    for name in "ABC":
+        lines += [f"variable {name} {{", "  type discrete [ 2 ] { on, off };", "}"]
+    for name in "ABC":
+        parents = [p for p, c in edges if c == name]
+        if not parents:
+            lines += [f"probability ( {name} ) {{", "  table 0.5, 0.5;", "}"]
+            continue
+        lines.append(f"probability ( {name} | {', '.join(parents)} ) {{")
+        for states in itertools.product(("on", "off"), repeat=len(parents)):
+            lines.append(f"  ({', '.join(states)}) 0.5, 0.5;")
+        lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def test_a_network_file_is_parsed_again_on_every_call(tmp_path):
+    path = tmp_path / "small.bif"
+    path.write_text(small_bif([("A", "B")]))
+    config = ExperimentConfig(source="bif", bif=str(path))
+    label, before, _ = load_structure(config)
+    path.write_text(small_bif([("A", "B"), ("B", "C")]))
+    _, after, _ = load_structure(config)
+    assert label == "small"
+    assert sum(map(len, before.parents)) == 1
+    assert sum(map(len, after.parents)) == 2
+
+
+def test_an_unknown_network_name_raises_on_every_call():
+    config = ExperimentConfig(source="bif", bif="no-such-network")
+    for _ in range(2):
+        with pytest.raises(FileNotFoundError, match="neither a file nor a bundled network"):
+            load_structure(config)
