@@ -24,7 +24,7 @@ from .model import (
     Intervention,
     InterventionSet,
     random_conditional_table,
-    uncertain_rows,
+    subset_arm_count,
 )
 from .sweep import (
     ExperimentConfig,
@@ -111,16 +111,14 @@ def _cmd_gen(args, out) -> int:
     budgets = _parse_budgets(args.budgets)
     config = _source_config(args, tuple(budgets))
     label, dag, targets = load_structure(config)
-    arm_sets = [build_arms(config, dag, targets, b) for b in budgets]
-    counts = [len(arms) for arms in arm_sets]
-    row_counts = [uncertain_rows(dag, arms) for arms in arm_sets]
+    # |A| and C of `build_arms`' sets, without building them: every tree arm fixes
+    # every target, and a graph-file arm fixes a root only when it is the only root
+    tree = config.source == "tree"
+    counts = [subset_arm_count(dag.node_count, len(targets), b, b if tree else 1) for b in budgets]
+    fixed = targets if tree or len(targets) == 1 else ()
     out.write(f"instance: {label}\n")
     out.write(f"N={dag.node_count}\n")
-    if len(set(row_counts)) == 1:
-        out.write(f"C={row_counts[0]}\n")
-    else:
-        for b, r in zip(budgets, row_counts):
-            out.write(f"b={b}: C={r}\n")
+    out.write(f"C={dag.total_rows - sum(dag.row_count(n) for n in fixed)}\n")
     out.write("|A|=" + "/".join(str(c) for c in counts) + "\n")
     for b, c in zip(budgets, counts):
         out.write(f"b={b}: |A|={c}\n")

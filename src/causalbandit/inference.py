@@ -60,10 +60,12 @@ one more for the first count % B arms), and returns them batch after batch.
 Its arms pass `_arm_matrix`, the check a query's pass, before any uniform is
 drawn. The stream is exactly the one that one call per batch would take: batch
 after batch, and within a batch node-major over its arm's free nodes in
-topological order. All uniforms are drawn at once; variate (batch i, free node
-of rank r, draw k) is u at i's start plus r x size_i + k, and a clamp takes a
-sentinel instead, -1 for clamp 1 and 2 for clamp 0, which no probability
-crosses. Draws are made one `CausalDag.levels` depth at a time: one product
+topological order. In the stream u, variate (batch i, free node of rank r, draw
+k) is u at i's start plus r x size_i + k, and a clamp takes a sentinel instead,
+-1 for clamp 1 and 2 for clamp 0, which no probability crosses. Each of the
+split's two runs of equal-size batches gets its sentinels in one write, then
+its free (batch, node) cells in stream order, FILL_CELLS uniforms (or one cell)
+at a time. Draws are made one `CausalDag.levels` depth at a time: one product
 packs the depth's parent rows, as `CausalDag.row_keys` does, and variate <
 `ConditionalTable.thresholds`[row] overwrites the depth's variates. Strategies
 reach it only through an `Environment`, whose `intervene_many` also charges
@@ -96,7 +98,7 @@ STATE_BUDGET = 1 << 16  # cells of one clique array; the arm axis is chunked to 
 BRUTE_FORCE_LIMIT = 20
 PLAN_CACHE_SIZE = 512  # sweep plans kept; one is at most about 14 KB on alarm
 CELL_CACHE_SIZE = 256  # cell-index tables of factors kept
-GATHER_CELLS = 1 << 11  # variate positions `sample_batch` holds at once: 16 KB
+FILL_CELLS = 1 << 13  # uniforms `sample_batch` draws at once, or one cell's if more: 64 KB
 
 
 # ---------------------------------------------------------------------------
@@ -420,34 +422,28 @@ def sample_batch(table: ConditionalTable, dag: CausalDag, arm_values, count: int
     order, column, levels = dag.levels
     # arms past the count draw nothing, so they are left out
     values = _arm_matrix(arm_values, dag)[:max(count, 1)]
-    sizes = even_split(count, values.shape[0])
-    most, free = sizes.max(), values == FREE
-    rank = np.cumsum(free, axis=1)  # a free node's rank, plus one
-    spans = sizes * rank[:, -1]  # the variates each batch takes
-    # u: `most` sentinels of clamp 0, as many of clamp 1, then the stream; draw
-    # d's variate at (its arm, node) is u[first[node, arm] + d]
-    run = np.cumsum(spans) - spans + 2 * most  # each batch's first variate
-    first = (np.where(free, (rank - 1) * sizes[:, None] + run[:, None], most * values)
-             - (np.cumsum(sizes) - sizes)[:, None]).T[order]
-    del free, rank  # each array lives only as long as it is read: the peak is the gather's
-    u = np.empty(2 * most + spans.sum())
-    u[:most], u[most:2 * most] = 2.0, -1.0
-    as_rng(rng).random(out=u[2 * most:])
-    v = np.zeros((dag.node_count + 1, count))  # (row, draw); row N stays 0
-    batch, step = np.repeat(np.arange(len(sizes)), sizes), max(1, GATHER_CELLS // max(count, 1))
-    for lo in range(0, dag.node_count, step):  # a block of rows at a time; every
-        # position is in range, and "clip" lets `take` write into `out` in place
-        u.take(first[lo:lo + step].take(batch, axis=1) + np.arange(count),
-               out=v[:-1][lo:lo + step], mode="clip")
-    del u, first
+    rng, n_nodes, (base, extra) = as_rng(rng), dag.node_count, divmod(count, len(values))
+    clamps = np.where(values == 1, -1.0, 2.0).T[order]  # (row, arm) sentinels
+    v, at = np.zeros((n_nodes + 1, count)), 0  # (row, draw); row N stays 0
+    # `even_split`'s runs of equal-size batches, less the first when it is empty
+    for lo, hi, size in ((0, extra, base + 1), (extra, len(values), base))[not extra:]:
+        # (row, batch, draw): a view, since only the contiguous draw axis is split
+        run = v[:-1, at:at + (hi - lo) * size].reshape(n_nodes, hi - lo, size)
+        run[...] = clamps[:, lo:hi, None]
+        arm, node = np.nonzero(values[lo:hi] == FREE)  # the stream's (batch, rank) order
+        row, step = column[node], max(1, FILL_CELLS // max(size, 1))
+        for i in range(0, len(arm), step):
+            run[row[i:i + step], arm[i:i + step]] = rng.random((len(arm[i:i + step]), size))
+        at += (hi - lo) * size
     for start, end, cols, weights, offsets in levels:
         if len(weights):  # the rows, then their thresholds in their place
             p = (weights @ v.take(cols, axis=0).reshape(len(weights), (end - start) * count)
-                 ).reshape(end - start, count) + offsets
+                 ).reshape(end - start, count)
+            p += offsets
             table.thresholds.take(p.astype(np.intp), out=p, mode="clip")
         else:  # the roots
             p = table.thresholds[offsets]
-        v[start:end] = v[start:end] < p
+        np.less(v[start:end], p, out=v[start:end])
     return np.ascontiguousarray(v.astype(np.uint8).take(column, axis=0).T)
 
 

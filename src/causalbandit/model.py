@@ -181,9 +181,15 @@ class ConditionalTable:
         for n in nodes:
             end = at + len(new[n])
             new[n], stochastic[n], at = frozen[at:end], ok[at:end].all(), end
-        table = object.__new__(type(self))
-        object.__setattr__(table, "rows", tuple(new))
+        table = self._trusted(tuple(new))
         table.__dict__["stochastic"] = stochastic
+        return table
+
+    @classmethod
+    def _trusted(cls, rows: tuple[np.ndarray, ...]) -> "ConditionalTable":
+        """A table over read-only float64 (rows, 2) arrays, neither checked nor copied."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "rows", rows)
         return table
 
     @classmethod
@@ -381,11 +387,10 @@ def validate(dag: CausalDag, table: ConditionalTable | None = None,
 
 
 def random_conditional_table(dag: CausalDag, rng_seed) -> ConditionalTable:
-    """Uniform random table: each row's success probability is an independent U[0,1]."""
-    rng = as_rng(rng_seed)
-    return ConditionalTable.from_success_probs(
-        [rng.random(dag.row_count(n)) for n in range(dag.node_count)]
-    )
+    """Uniform random table: each row's success probability is an independent U[0,1],
+    drawn in node order by one call; the rows are read-only views of one array."""
+    p1 = as_rng(rng_seed).random(dag.total_rows)
+    return ConditionalTable._trusted(dag.split_rows(_read_only(np.stack([1.0 - p1, p1], axis=1))))
 
 
 def make_binary_tree_dag(height: int, budgets=()) -> CausalDag:
@@ -394,11 +399,17 @@ def make_binary_tree_dag(height: int, budgets=()) -> CausalDag:
     Nodes are numbered level by level, leaves first, so the root is the last
     node and, for L leaves, node L + j has the subtree children 2j and 2j + 1
     as parents.
-    Before anything is built, a tree is refused when its nodes, or the
-    exact-budget leaf arms of every budget given in [1, leaves], exceed
-    `ARM_CELL_LIMIT`, and with `ParameterError` when budgets are given but
-    none is in that range.
     """
+    leaves = check_binary_tree(height, budgets)
+    return CausalDag(tuple(() if i < leaves else (2 * (i - leaves), 2 * (i - leaves) + 1)
+                           for i in range(2 * leaves - 1)))
+
+
+def check_binary_tree(height: int, budgets=()) -> int:
+    """The leaf count of a tree of `height`. Before anything is built, the
+    tree is refused when its nodes, or the exact-budget leaf arms of every
+    budget given in [1, leaves], exceed `ARM_CELL_LIMIT`, and with
+    `ParameterError` when budgets are given but none is in that range."""
     if height < 1:
         raise ParameterError("height must be >= 1")
     nodes = (2 << min(height, 64)) - 1  # the cap only keeps the shift small
@@ -415,8 +426,7 @@ def make_binary_tree_dag(height: int, budgets=()) -> CausalDag:
             raise CapacityError(f"C({leaves}, {b}) arms exceed the arm cell limit "
                                 f"{ARM_CELL_LIMIT}")
         check_arm_cells(math.comb(leaves, b), nodes)
-    return CausalDag(tuple(() if i < leaves else (2 * (i - leaves), 2 * (i - leaves) + 1)
-                           for i in range(nodes)))
+    return leaves
 
 
 def check_arm_cells(arm_count: int, width: int, what: str = "nodes") -> None:
@@ -425,20 +435,26 @@ def check_arm_cells(arm_count: int, width: int, what: str = "nodes") -> None:
                             f"cells exceeds the arm cell limit {ARM_CELL_LIMIT}")
 
 
+def subset_arm_count(n_nodes: int, n_targets: int, budget: int, smallest: int) -> int:
+    """The arms `_subset_arms` makes, counted and checked without building them."""
+    if budget < 1 or budget > n_targets:
+        raise ParameterError(f"budget {budget} not in [1, {n_targets}]")
+    count = sum(math.comb(n_targets, k) for k in range(smallest, budget + 1))
+    check_arm_cells(count, n_nodes)
+    return count
+
+
 def _subset_arms(n_nodes: int, target_nodes, budget: int, smallest: int,
                  others: int) -> InterventionSet:
     """One arm per subset of the targets of each size from `smallest` to
     `budget`, lexicographic within a size: chosen targets 1, other targets
     `others`, the rest free; counted, then written into one int8 matrix."""
     targets = sorted(int(t) for t in target_nodes)
-    if budget < 1 or budget > len(targets):
-        raise ParameterError(f"budget {budget} not in [1, {len(targets)}]")
-    sizes = range(smallest, budget + 1)
-    count = sum(math.comb(len(targets), k) for k in sizes)
-    check_arm_cells(count, n_nodes)
+    count = subset_arm_count(n_nodes, len(targets), budget, smallest)
     matrix = np.full((count, n_nodes), FREE, dtype=np.int8)
     matrix[:, targets] = others
-    chosen = itertools.chain.from_iterable(itertools.combinations(targets, k) for k in sizes)
+    chosen = itertools.chain.from_iterable(itertools.combinations(targets, k)
+                                           for k in range(smallest, budget + 1))
     for row, subset in zip(matrix, chosen):
         row[list(subset)] = 1
     return InterventionSet._trusted(matrix)

@@ -9,12 +9,12 @@ sweep draws each table once, up front, per (budget, multiplier, table
 trial), and every strategy of that row of cells gets the same `Instance`
 objects in its payload; an instance's reward vector is computed by one sweep
 on first use and kept (`Instance.rewards`), so regret scoring runs once per
-table, not once per strategy. A bundled network is parsed once per process,
-and its one frozen `CausalDag` serves every sweep; a file path is parsed on
-every sweep. The arms are built once per budget. Cells may be fanned out
-over processes via the CAUSALBANDIT_WORKERS environment variable, each
-worker scoring its own copy of a cell's instances; results are reduced in a
-fixed order either way.
+table, not once per strategy. A bundled network is parsed, and a tree of a
+height built, once per process, and its one frozen `CausalDag` serves every
+sweep; a file path is parsed on every sweep. The arms are built once per
+budget. Cells may be fanned out over processes via the CAUSALBANDIT_WORKERS
+environment variable, each worker scoring its own copy of a cell's
+instances; results are reduced in a fixed order either way.
 Cells where successive rejects could pull nothing (horizon at most the arm
 count) run as usual and are listed in `RegretReport.warnings`.
 """
@@ -35,6 +35,7 @@ from .model import (
     CausalDag,
     Instance,
     InterventionSet,
+    check_binary_tree,
     enumerate_budget_interventions,
     enumerate_root_interventions,
     make_binary_tree_dag,
@@ -180,9 +181,8 @@ def load_structure(config: ExperimentConfig) -> tuple[str, CausalDag, tuple[int,
     """Instance label, graph, and the intervention target nodes. A tree too
     large for the arms of every one of `config.budgets` is refused unbuilt."""
     if config.source == "tree":
-        dag = make_binary_tree_dag(config.tree_height, config.budgets)
-        targets = tuple(range(1 << config.tree_height))
-        return f"tree-h{config.tree_height}", dag, targets
+        leaves = check_binary_tree(config.tree_height, config.budgets)  # on every config
+        return f"tree-h{config.tree_height}", _tree_dag(config.tree_height), tuple(range(leaves))
     name = config.bif
     if os.path.exists(name):  # a file may change, so it is read on every call
         with open(name, encoding="utf-8") as handle:
@@ -197,6 +197,10 @@ def load_structure(config: ExperimentConfig) -> tuple[str, CausalDag, tuple[int,
 def _bundled_dag(name: str) -> CausalDag:
     """The graph of a bundled network, parsed once per process and shared."""
     return to_causal_dag(load_bundled(name))[0]
+
+
+# one tree graph per height, built once per process and shared; at most 25 heights pass the check
+_tree_dag = functools.lru_cache(maxsize=None)(make_binary_tree_dag)
 
 
 def build_arms(config: ExperimentConfig, dag: CausalDag, targets, budget: int):

@@ -1,15 +1,18 @@
 """One sampler call over a list of batches against one call per batch, on
 random networks: the same draws from the same stream, the same counts, and the
 same ledger. The level-at-a-time sampler against a reference copy of the
-node-at-a-time loop it replaced, bit for bit, and its cached plans and
-thresholds against stale data."""
+node-at-a-time loop it replaced, bit for bit, also with the fill drawn in
+chunks of any size, its cached plans and thresholds against stale data, and
+the peak memory of one large call."""
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causalbandit import inference
 from causalbandit.bif import load_bundled, to_causal_dag
 from causalbandit.errors import BudgetError
 from causalbandit.inference import SimulatedEnvironment, even_split, sample_batch
@@ -20,6 +23,8 @@ from causalbandit.model import (
     Instance,
     InterventionSet,
     as_rng,
+    enumerate_budget_interventions,
+    enumerate_root_interventions,
     make_binary_tree_dag,
     random_conditional_table,
 )
@@ -228,3 +233,58 @@ def test_two_dags_never_share_a_level_plan():
     arms = np.full((2, 7), FREE, dtype=np.int8)
     for dag in (chain, tree, twin):
         assert_matches_the_reference(random_conditional_table(dag, 8), dag, arms, 5, 9)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 64])
+@pytest.mark.parametrize("name", ["tree-h4", "alarm"])
+def test_the_fill_reads_the_same_stream_in_chunks_of_any_size(name, cells, monkeypatch):
+    """The fill draws at most `FILL_CELLS` uniforms at once, or one batch's
+    draws of one node when those are more; at any bound the draws are the
+    reference's, also where a chunk splits a run of batches."""
+    monkeypatch.setattr(inference, "FILL_CELLS", cells)
+    dag = structure(name)
+    table = random_conditional_table(dag, 11)
+    arms = np.random.default_rng(12).choice(np.array([FREE, FREE, 0, 1], dtype=np.int8),
+                                            size=(7, dag.node_count))
+    for arm_values, count in [(arms, 0), (arms, 5), (arms, 23), (arms, 70), (arms[3], 9)]:
+        assert_matches_the_reference(table, dag, arm_values, count, count)
+
+
+@pytest.mark.parametrize("name, factor", [("tree-h4", 1.79), ("alarm", 2.04)])
+def test_a_large_call_peaks_within_a_bounded_factor_of_its_state(name, factor):
+    """One call of 100,001 draws over the budget-2 arms peaks at no more than
+    the factor of the float64 (nodes + 1) x count state that the sampler
+    before the chunked fill reached (1.781 on tree-h4, 2.032 on alarm): the
+    fill holds at most `FILL_CELLS` uniforms besides the state."""
+    dag = structure(name)
+    if name == "alarm":
+        arms = enumerate_root_interventions(dag.node_count, dag.roots, 2)
+    else:
+        arms = enumerate_budget_interventions(dag.node_count, range(16), 2)
+    table, count = random_conditional_table(dag, 1), 100_001
+    sample_batch(table, dag, arms, 10, 0)  # the graph's plan and the table's thresholds
+    tracemalloc.start()
+    try:
+        sample_batch(table, dag, arms, count, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= factor * (dag.node_count + 1) * count * 8
+
+
+def test_the_fill_holds_a_bounded_number_of_uniforms():
+    """On 31 independent roots the fill is the only step of the sampler that
+    holds more than the state, so a fill that drew all of a call's 3.1
+    million uniforms at once would peak at about 1.6 to 2 times the state,
+    where drawing `FILL_CELLS` at a time keeps it at 1.25."""
+    dag = CausalDag(((),) * 31)
+    table, count = random_conditional_table(dag, 1), 100_001
+    for arms in (np.full((1, 31), FREE, dtype=np.int8), np.full((120, 31), FREE, dtype=np.int8)):
+        sample_batch(table, dag, arms, 10, 0)
+        tracemalloc.start()
+        try:
+            sample_batch(table, dag, arms, count, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * (dag.node_count + 1) * count * 8

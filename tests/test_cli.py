@@ -4,6 +4,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -35,6 +36,20 @@ def test_gen_bundled_network(capsys):
     assert "N=37" in out
     assert "C=116" in out
     assert "|A|=78/793/3796" in out
+
+
+def test_gen_counts_the_arms_without_building_them(capsys):
+    """tree-h6 at budget 4 has 635,376 arms x 127 nodes, an 80 MB int8
+    matrix, of which `gen` prints only the size."""
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(["gen", "--tree-height", "6", "--budgets", "4"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.endswith("N=127\nC=252\n|A|=635376\nb=4: |A|=635376\n")
+    assert peak < 635376 * 127 // 100
 
 
 def test_gen_rejects_bad_budget_list(capsys):

@@ -40,6 +40,11 @@ CASES = {
     "golden_tree_h3_b2.csv": ExperimentConfig(
         source="tree", tree_height=3, budgets=(2,), multipliers=(3, 6), trials=2, seed=7,
         strategies=STRATEGIES),
+    # the baselines' sampler calls: at 3C = 180 draws over 120 arms, uniform's
+    # one call draws two runs of batches, 60 of size 2 and 60 of size 1
+    "golden_tree_h4_baselines_b2.csv": ExperimentConfig(
+        source="tree", tree_height=4, budgets=(2,), multipliers=(3, 6, 9), trials=2, seed=7,
+        strategies=("uniform", "successive-rejects")),
     "golden_water_b2.csv": ExperimentConfig(
         source="bif", bif="water", budgets=(2,), multipliers=(3,), trials=1, seed=7,
         strategies=STRATEGIES),

@@ -5,8 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalbandit import model
+from causalbandit.bif import load_bundled, to_causal_dag
 from causalbandit.errors import CapacityError, ParameterError
 from causalbandit.inference import target_probabilities, target_probability
 from causalbandit.model import (
@@ -18,6 +21,7 @@ from causalbandit.model import (
     Intervention,
     InterventionSet,
     ParentRealization,
+    as_rng,
     enumerate_budget_interventions,
     enumerate_root_interventions,
     make_binary_tree_dag,
@@ -27,6 +31,7 @@ from causalbandit.model import (
     validate,
 )
 from conftest import brute_joint, random_dag
+from test_parent_marginals import networks
 
 
 def chain_dag():
@@ -130,6 +135,48 @@ def test_random_table_deterministic_and_complementary():
     for a, b in zip(t1.rows, t2.rows):
         assert np.array_equal(a, b)
     assert validate(dag, t1).ok
+
+
+def reference_random_conditional_table(dag, rng_seed):
+    """The table as it was drawn before one call drew every row: one call per
+    node, in node order, each row stacked and copied on its own."""
+    rng = as_rng(rng_seed)
+    return ConditionalTable.from_success_probs(
+        [rng.random(dag.row_count(n)) for n in range(dag.node_count)])
+
+
+def assert_same_random_table(dag, seed):
+    """Rows, thresholds, `stochastic`, read-only flags and the generator state
+    after, bit for bit, from a seed and from a generator."""
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for got, want in [(random_conditional_table(dag, seed),
+                       reference_random_conditional_table(dag, seed)),
+                      (random_conditional_table(dag, rng),
+                       reference_random_conditional_table(dag, reference_rng))]:
+        assert len(got.rows) == len(want.rows) == dag.node_count
+        for a, b in zip(got.rows, want.rows):
+            assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable and not b.flags.writeable
+        assert got.thresholds.tobytes() == want.thresholds.tobytes()
+        assert got.stochastic.tobytes() == want.stochastic.tobytes()
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", ["tree-h2", "tree-h3", "tree-h4", "alarm", "water"])
+def test_one_draw_table_equals_the_node_at_a_time_draws(name):
+    if name.startswith("tree"):
+        dag = make_binary_tree_dag(int(name[-1]))
+    else:
+        dag = to_causal_dag(load_bundled(name))[0]
+    for seed in range(50):
+        assert_same_random_table(dag, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.integers(0, 2 ** 32 - 1))
+def test_one_draw_table_equals_the_node_at_a_time_draws_on_random_graphs(case, seed):
+    assert_same_random_table(case[1], seed)
 
 
 def test_random_table_seeds_differ():

@@ -12,7 +12,7 @@ import pytest
 
 import causalbandit
 from causalbandit import sweep
-from causalbandit.errors import ParameterError
+from causalbandit.errors import CapacityError, ParameterError
 from causalbandit.model import CausalDag, ConditionalTable, Instance, InterventionSet
 from causalbandit.sweep import (
     STRATEGIES,
@@ -377,6 +377,24 @@ def test_a_bundled_network_is_parsed_once_and_shared():
     first, second = load_structure(config), load_structure(config)
     assert second[1] is first[1]
     assert second == first
+
+
+def test_a_tree_is_built_once_per_height_and_checked_for_every_config():
+    """Every config of a height gets one shared graph, built once, but the
+    budgets of each config are checked before the shared graph is read."""
+    sweep._tree_dag.cache_clear()
+    first = load_structure(ExperimentConfig(source="tree", tree_height=3, budgets=(2,)))
+    second = load_structure(ExperimentConfig(source="tree", tree_height=3, budgets=(1, 8),
+                                             trials=4))
+    assert second[1] is first[1]
+    assert second == first
+    assert sweep._tree_dag.cache_info()[:2] == (1, 1)  # (hits, misses): built once
+    with pytest.raises(ParameterError, match=r"^budget 9 not in \[1, 8\]$"):
+        load_structure(ExperimentConfig(source="tree", tree_height=3, budgets=(9,)))
+    load_structure(ExperimentConfig(source="tree", tree_height=7, budgets=(1,)))
+    with pytest.raises(CapacityError, match=r"^10668000 arms x 255 nodes"):
+        load_structure(ExperimentConfig(source="tree", tree_height=7, budgets=(4,)))
+    assert sweep._tree_dag.cache_info()[:2] == (1, 2)  # refused before the cache is read
 
 
 def small_bif(edges) -> str:
