@@ -55,21 +55,23 @@ FRONTIER_LIMIT variables.
 
 Sampling has one entry point, `sample_batch`, whose rules are stated here
 only. One call draws a list of batches: under one arm, or under a (B, nodes)
-matrix of arms that the draws are split over by `even_split` (count // B each,
-one more for the first count % B arms), and returns them batch after batch.
-Its arms pass `_arm_matrix`, the check a query's pass, before any uniform is
-drawn. The stream is exactly the one that one call per batch would take: batch
-after batch, and within a batch node-major over its arm's free nodes in
-topological order. In the stream u, variate (batch i, free node of rank r, draw
-k) is u at i's start plus r x size_i + k, and a clamp takes a sentinel instead,
--1 for clamp 1 and 2 for clamp 0, which no probability crosses. Each of the
-split's two runs of equal-size batches gets its sentinels in one write, then
-its free (batch, node) cells in stream order, FILL_CELLS uniforms (or one cell)
-at a time. Draws are made one `CausalDag.levels` depth at a time: one product
-packs the depth's parent rows, as `CausalDag.row_keys` does, and variate <
-`ConditionalTable.thresholds`[row] overwrites the depth's variates. Strategies
-reach it only through an `Environment`, whose `intervene_many` also charges
-the experiment ledger, once the draw has succeeded.
+matrix of arms, arm i's of `sizes[i]` draws or by default of `even_split`'s
+(count // B each, one more for the first count % B arms), and returns them
+batch after batch. Its arms pass `_arm_matrix`, the check a query's pass, and
+its count and sizes their own, before any uniform is drawn. The stream is
+exactly the one that one call per batch would take: batch after batch, and
+within a batch node-major over its arm's free nodes in topological order. In
+the stream u, variate (batch i, free node of rank r, draw k) is u at i's start
+plus r x size_i + k, and a clamp takes a sentinel instead, -1 for clamp 1 and 2
+for clamp 0, which no probability crosses. Each run of equal-size batches (at
+most two in the default split; given sizes are cut wherever the size changes)
+gets its sentinels in one write, then its free (batch, node) cells in stream
+order, FILL_CELLS uniforms (or one cell) at a time. Draws are made one
+`CausalDag.levels` depth at a time: one product packs the depth's parent rows,
+as `CausalDag.row_keys` does, and variate < `ConditionalTable.thresholds`[row]
+overwrites the depth's variates. Strategies reach it only through an
+`Environment`, whose `intervene_many` also charges the experiment ledger, once
+the draw has succeeded.
 """
 from __future__ import annotations
 
@@ -416,18 +418,29 @@ def even_split(count: int, k: int) -> np.ndarray:
 
 
 def sample_batch(table: ConditionalTable, dag: CausalDag, arm_values, count: int,
-                 rng) -> np.ndarray:
+                 rng, sizes=None) -> np.ndarray:
     """Draw `count` realizations, shape (count, nodes), under one arm or a
-    (B, nodes) matrix or set of arms, by the rules in the module docstring."""
+    (B, nodes) matrix or set of arms, `sizes[i]` of them under arm i or, by
+    default, `even_split`'s share, by the rules in the module docstring."""
     order, column, levels = dag.levels
-    # arms past the count draw nothing, so they are left out
-    values = _arm_matrix(arm_values, dag)[:max(count, 1)]
-    rng, n_nodes, (base, extra) = as_rng(rng), dag.node_count, divmod(count, len(values))
+    values = _arm_matrix(arm_values, dag)
+    if count < 0 or not len(values):
+        raise ParameterError("need a nonnegative count and at least one arm")
+    if sizes is None:  # `even_split`'s runs, less the first when it is empty
+        values = values[:max(count, 1)]  # arms past the count draw nothing
+        base, extra = divmod(count, len(values))
+        runs = ((0, extra, base + 1), (extra, len(values), base))[not extra:]
+    else:  # a run wherever the size changes
+        sizes = np.asarray(sizes)
+        if sizes.shape != (len(values),) or sizes.dtype.kind not in "iu" \
+                or (sizes < 0).any() or sizes.sum() != count:
+            raise ParameterError("sizes must be one nonnegative int per arm, summing to count")
+        cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(sizes)]
+        runs = [(lo, hi, int(sizes[lo])) for lo, hi in zip(cuts, cuts[1:])]
+    rng, n_nodes = as_rng(rng), dag.node_count
     clamps = np.where(values == 1, -1.0, 2.0).T[order]  # (row, arm) sentinels
     v, at = np.zeros((n_nodes + 1, count)), 0  # (row, draw); row N stays 0
-    # `even_split`'s runs of equal-size batches, less the first when it is empty
-    for lo, hi, size in ((0, extra, base + 1), (extra, len(values), base))[not extra:]:
-        # (row, batch, draw): a view, since only the contiguous draw axis is split
+    for lo, hi, size in runs:  # (row, batch, draw) views: only the draw axis is split
         run = v[:-1, at:at + (hi - lo) * size].reshape(n_nodes, hi - lo, size)
         run[...] = clamps[:, lo:hi, None]
         arm, node = np.nonzero(values[lo:hi] == FREE)  # the stream's (batch, rank) order
@@ -451,11 +464,11 @@ class Environment:
     """What a strategy is allowed to touch: apply interventions, observe
     realizations, and spend experiments; the true table stays hidden."""
 
-    def intervene_many(self, arm, count: int) -> np.ndarray:
+    def intervene_many(self, arm, count: int, sizes=None) -> np.ndarray:
         """Charge `count` experiments and draw that many realizations, shape
         (count, nodes), under one arm or a (B, nodes) matrix or set of arms,
-        as `sample_batch` does. `BudgetError` is raised before anything is
-        drawn; a draw that fails charges nothing."""
+        split by `sizes` as `sample_batch` does. `BudgetError` is raised
+        before anything is drawn; a draw that fails charges nothing."""
         raise NotImplementedError
 
     @property
@@ -472,13 +485,12 @@ class SimulatedEnvironment(Environment):
         self._used = 0
         self._max = max_experiments
 
-    def intervene_many(self, arm, count: int) -> np.ndarray:
-        if count < 0:
-            raise ParameterError("count must be nonnegative")
+    def intervene_many(self, arm, count: int, sizes=None) -> np.ndarray:
         if self._max is not None and self._used + count > self._max:
             raise BudgetError(
                 f"experiment budget exhausted: {self._used}+{count} > {self._max}")
-        omega = sample_batch(self._instance.table, self._instance.dag, arm, count, self._rng)
+        omega = sample_batch(self._instance.table, self._instance.dag, arm, count, self._rng,
+                             sizes)
         self._used += count
         return omega
 

@@ -5,9 +5,9 @@ one replays each pair's recorded best arm for one batch, every batch in one
 sampler call. Part two spends a third of the horizon on arms drawn from a
 weight vector: either the minimizer of the allocation objective built from
 phase 1's stored reach ("paper"; phase 2 runs no inference of its own) or
-`allocation.vote_share` of phase 1's best arms ("practical"), one sampler call
-per picked arm. Every batch of both parts is folded by `phase1.fold_counts`,
-so every node the applied arm leaves free absorbs counts from every sample.
+`allocation.vote_share` of phase 1's best arms ("practical"), each picked arm
+for its pick count. One sampler call draws both parts and one `fold_counts`
+folds them, so every node the applied arm leaves free absorbs every sample.
 Practical mode starts from phase 1's shared counts, paper mode from zero.
 Final rates follow `phase1.rate_estimates` and are zeroed wherever phase 1
 dropped the entry.
@@ -73,13 +73,12 @@ def run_phase2(env: Environment, phase1: Phase1Result, mode: str, rng) -> Phase2
     picks = np.searchsorted(np.cumsum(weights), rng.random(draws), side="right")
     pick_counts = np.bincount(np.clip(picks, 0, len(arms) - 1), minlength=len(arms))
     counts = phase1.shared.copy() if mode == "practical" else np.zeros_like(phase1.shared)
-    replay = arms.take(np.concatenate([phase1.best_arm[n] for n in phase1.uncertain_nodes]))
-    counts += fold_counts(dag, np.repeat(replay.matrix, phase1.per_pair, axis=0),
-                          env.intervene_many(replay, len(replay) * phase1.per_pair))
-    for arm_idx in np.flatnonzero(pick_counts):  # unequal counts: one call per arm
-        arm = arms.take(arm_idx)
-        counts += fold_counts(dag, arm.matrix,
-                              env.intervene_many(arm, int(pick_counts[arm_idx])))
+    replay = np.concatenate([phase1.best_arm[n] for n in phase1.uncertain_nodes])
+    picked = np.flatnonzero(pick_counts)
+    batches = arms.take(np.concatenate([replay, picked]))  # the stream's batch order
+    sizes = np.concatenate([np.full(len(replay), phase1.per_pair), pick_counts[picked]])
+    counts += fold_counts(dag, np.repeat(batches.matrix, sizes, axis=0),
+                          env.intervene_many(batches, int(sizes.sum()), sizes))
 
     seen = counts.sum(axis=1)
     rates = dag.split_rows(rate_estimates(seen, counts[:, 1]))  # zero on nodes no arm frees

@@ -64,9 +64,9 @@ def run_uniform_baseline(env: Environment, dag: CausalDag, arms: InterventionSet
     if horizon < 0:
         raise ParameterError("horizon must be nonnegative")
     k = len(arms)
-    pulls = even_split(horizon, k)  # the split `intervene_many` makes
+    pulls = even_split(horizon, k)
     before = env.experiments_used
-    omega = env.intervene_many(arms, horizon)
+    omega = env.intervene_many(arms, horizon, pulls)
     mu_hat = np.bincount(np.repeat(np.arange(k), pulls), weights=omega[:, -1],
                          minlength=k) / np.maximum(pulls, 1)
     chosen = int(np.argmax(mu_hat))

@@ -1,6 +1,7 @@
 """One sampler call over a list of batches against one call per batch, on
 random networks: the same draws from the same stream, the same counts, and the
-same ledger. The level-at-a-time sampler against a reference copy of the
+same ledger, with the default split or given sizes, and the sampler's
+argument errors. The level-at-a-time sampler against a reference copy of the
 node-at-a-time loop it replaced, bit for bit, also with the fill drawn in
 chunks of any size, its cached plans and thresholds against stale data, and
 the peak memory of one large call."""
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from causalbandit import inference
 from causalbandit.bif import load_bundled, to_causal_dag
-from causalbandit.errors import BudgetError
+from causalbandit.errors import BudgetError, ParameterError
 from causalbandit.inference import SimulatedEnvironment, even_split, sample_batch
 from causalbandit.model import (
     FREE,
@@ -97,6 +98,58 @@ def test_one_call_equals_one_call_per_arm(case, seed):
     assert batched_rng.random() == single_rng.random()  # the same variates were used
     one = sample_batch(table, dag, matrix[0], count, seed)
     assert np.array_equal(one, sample_batch(table, dag, matrix[:1], count, seed))
+
+
+@st.composite
+def sized(draw):
+    """`batched` with a drawn size per arm, zeros and repeats among them, and
+    the count their sum."""
+    table, dag, matrix, _ = draw(batched())
+    sizes = draw(st.lists(st.sampled_from([0, 0, 1, 2, 2, 5]), min_size=len(matrix),
+                          max_size=len(matrix)))
+    return table, dag, matrix, np.array(sizes)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sized(), st.integers(0, 2 ** 32 - 1))
+def test_one_call_with_sizes_equals_one_call_per_batch(case, seed):
+    """Given sizes, as phase 2 passes them: the draws, the generator state
+    afterwards and the fold are those of one call per batch."""
+    table, dag, matrix, sizes = case
+    count = int(sizes.sum())
+    batched_rng, single_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_batch(table, dag, matrix, count, batched_rng, sizes)
+    parts = [sample_batch(table, dag, arm, int(size), single_rng)
+             for arm, size in zip(matrix, sizes)]
+    assert got.dtype == np.uint8 and got.shape == (count, dag.node_count)
+    assert np.array_equal(got, np.concatenate(parts))
+    assert batched_rng.bit_generator.state == single_rng.bit_generator.state
+    fold = fold_counts(dag, np.repeat(matrix, sizes, axis=0), got)
+    assert np.array_equal(fold, sum(fold_counts(dag, arm, part)
+                                    for arm, part in zip(matrix, parts)))
+    split = even_split(count, len(matrix))  # the default is these sizes
+    assert np.array_equal(sample_batch(table, dag, matrix, count, seed, split),
+                          sample_batch(table, dag, matrix, count, seed))
+
+
+def test_bad_counts_arms_and_sizes_raise_before_anything_is_drawn():
+    dag = structure("tree-h4")
+    table = random_conditional_table(dag, 1)
+    arms = InterventionSet(np.full((3, dag.node_count), FREE, dtype=np.int8))
+    empty = np.empty((0, dag.node_count), dtype=np.int8)
+    cases = [(arms, -3, None), (empty, 0, None), (empty, 4, None), (empty, 0, []),
+             (arms, 4, [2, 2]), (arms, 4, [2, 2, 0, 0]), (arms, 4, [5, -1, 0]),
+             (arms, 4, [1, 1, 1]), (arms, 4, [2.0, 2.0, 0.0]), (arms, 4, [[2, 2, 0]])]
+    for arm_values, count, sizes in cases:
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ParameterError):
+            sample_batch(table, dag, arm_values, count, rng, sizes)
+        assert rng.bit_generator.state == state
+        env = SimulatedEnvironment(Instance(dag, table, arms), rng, max_experiments=10)
+        with pytest.raises(ParameterError):
+            env.intervene_many(arm_values, count, sizes)
+        assert env.experiments_used == 0 and rng.bit_generator.state == state
 
 
 @settings(max_examples=60, deadline=None)

@@ -37,6 +37,10 @@ CASES = {
     "golden_alarm_b2.csv": ExperimentConfig(
         source="bif", bif="alarm", budgets=(2,), multipliers=(3, 9), trials=2, seed=7,
         strategies=STRATEGIES),
+    # phase 2's resample over many arms: picked arms drawn 1 to 348 times
+    "golden_alarm_b4_proposed.csv": ExperimentConfig(
+        source="bif", bif="alarm", budgets=(4,), multipliers=(3, 9), trials=2, seed=7,
+        strategies=("proposed-paper", "proposed-practical")),
     "golden_tree_h3_b2.csv": ExperimentConfig(
         source="tree", tree_height=3, budgets=(2,), multipliers=(3, 6), trials=2, seed=7,
         strategies=STRATEGIES),
