@@ -27,7 +27,6 @@ from .errors import (
     ParameterError,
 )
 from .inference import (
-    Environment,
     SimulatedEnvironment,
     brute_force_parent_probability,
     brute_force_target_probability,

@@ -15,63 +15,53 @@ a fixes n). One sweep keeps the parents to the end and reads every row at
 once. The mass is taken over the whole prefix, so sub-stochastic (partly
 estimated) nodes that are not ancestors of n still scale it: each row of the
 matrix sums to the arm's prefix mass, and a parentless node gets one column
-equal to it, not 1. The "target probability" P(last node = 1 |
-intervention) is the last node's parent-row mass times its chance of 1 in
-each row: its conditional rate where the arm leaves it free, the indicator
-of clamp 1 where the arm fixes it.
+equal to it, not 1.
 
 A sweep for node n is planned once for the whole arm set, and only the plan
 knows the layout. Its relevant nodes are n's parents, each node before n that
 some arm leaves free and whose rows do not all sum to 1 (sub-stochastic
 estimates contribute their mass), and, transitively, the parents of relevant
 nodes that some arm leaves free; every other node marginalizes to exactly 1
-and is skipped. The variables are n's parents and the relevant nodes free
-in at least one arm. Each relevant node that some arm leaves free has a
-factor over itself and its parents that are variables: per arm, its
-conditional values where the arm leaves it free and the indicator of its
-clamp where the arm fixes it. Any other node fixed in every arm is no
-variable but a per-arm constant, read off the arm matrix, except n's parents:
-one of those fixed in every arm has its clamp's indicator as a factor over
-itself. The plan eliminates every variable but n's parents in greedy min-fill
-order (fewest added edges first, the lowest node on a tie). Each step
-multiplies the factors that hold the variable into one clique array and sums
-that variable's length-2 axis out; what is left is the output factor over n's
-parents, axes ascending, which one transpose puts in `dag.parents[n]` order.
-`width` is the largest clique, the output factor included. A plan reads
-only the graph, n, the relevant nodes and which nodes some arm leaves free,
-so it is kept in a bounded cache under exactly that key and made once for
-every query that shares it (the relevant nodes are found on each call, since
-they depend on which rows sum to 1). `_execute` then only multiplies and
-sums, on chunks of arms each sized so that one clique array holds at most
-max(STATE_BUDGET, 2^width) cells. A factor is arm-free, one row broadcast
-over the chunk's arms, when every arm of the chunk leaves its node free and
-all the node's parents are variables; a message whose inputs are all
-arm-free is arm-free too, and so summed once per chunk. Every arm's
-arithmetic is the same whatever the chunking and broadcasting, so results
-do not depend on them; the plan, and with it the last bits of an arm's
-result, does depend on the arm set. `CapacityError` is raised, before any
-array is built, on every query whose plan has one clique spanning more than
+and is skipped. The variables are n's parents and the relevant nodes free in
+at least one arm, and each of those has a factor (`_factor`). A node fixed in
+every arm is no variable but a per-arm constant, read off the arm matrix,
+except n's parents: one of those fixed in every arm has its clamp's indicator
+as a factor over itself. The plan eliminates every variable but n's parents in
+greedy min-fill order (fewest added edges first, the lowest node on a tie).
+Each step multiplies the factors that hold the variable into one clique array
+and sums that variable's length-2 axis out; what is left is the output factor
+over n's parents, axes ascending, which one transpose puts in `dag.parents[n]`
+order. `width` is the largest clique, the output factor included. A plan reads
+only the graph, n, the relevant nodes and which nodes some arm leaves free, so
+it is kept in a bounded cache under exactly that key and made once for every
+query that shares it (the relevant nodes are found on each call, since they
+depend on which rows sum to 1). `_execute` then only multiplies and sums, on
+chunks of arms each sized so that one clique array holds at most
+max(STATE_BUDGET, 2^width) cells. A message whose inputs are all arm-free
+(`_factor`) is arm-free too, and so summed once per chunk. Every arm's
+arithmetic is the same whatever the chunking and broadcasting, so results do
+not depend on them; the plan, and with it the last bits of an arm's result,
+does depend on the arm set. `CapacityError` is raised, before any array is
+built, on every query whose plan has one clique spanning more than
 FRONTIER_LIMIT variables.
 
 Sampling has one entry point, `sample_batch`, whose rules are stated here
 only. One call draws a list of batches: under one arm, or under a (B, nodes)
-matrix of arms, arm i's of `sizes[i]` draws or by default of `even_split`'s
-(count // B each, one more for the first count % B arms), and returns them
-batch after batch. Its arms pass `_arm_matrix`, the check a query's pass, and
-its count and sizes their own, before any uniform is drawn. The stream is
-exactly the one that one call per batch would take: batch after batch, and
-within a batch node-major over its arm's free nodes in topological order. In
-the stream u, variate (batch i, free node of rank r, draw k) is u at i's start
-plus r x size_i + k, and a clamp takes a sentinel instead, -1 for clamp 1 and 2
-for clamp 0, which no probability crosses. Each run of equal-size batches (at
-most two in the default split; given sizes are cut wherever the size changes)
-gets its sentinels in one write, then its free (batch, node) cells in stream
-order, FILL_CELLS uniforms (or one cell) at a time. Draws are made one
-`CausalDag.levels` depth at a time: one product packs the depth's parent rows,
-as `CausalDag.row_keys` does, and variate < `ConditionalTable.thresholds`[row]
-overwrites the depth's variates. Strategies reach it only through an
-`Environment`, whose `intervene_many` also charges the experiment ledger, once
-the draw has succeeded.
+matrix of arms, arm i's of `sizes[i]` draws or by default of `even_split`'s,
+and returns them batch after batch. Its arms pass `_arm_matrix`, the check a
+query's pass, and its count and sizes their own, before any uniform is drawn.
+The stream is exactly the one that one call per batch would take: batch after
+batch, and within a batch node-major over its arm's free nodes in topological
+order. In the stream u, variate (batch i, free node of rank r, draw k) is u at
+i's start plus r x size_i + k, and a clamp takes a sentinel instead, -1 for
+clamp 1 and 2 for clamp 0, which no probability crosses. Each run of
+equal-size batches (at most two in the default split; given sizes are cut
+wherever the size changes) gets its sentinels in one write, then its free
+(batch, node) cells in stream order, FILL_CELLS uniforms (or one cell) at a
+time. Draws are made one `CausalDag.levels` depth at a time: one product packs
+the depth's parent rows, as `CausalDag.row_keys` does, and variate <
+`ConditionalTable.thresholds`[row] overwrites the depth's variates. Strategies
+reach it only through `SimulatedEnvironment.intervene_many`.
 """
 from __future__ import annotations
 
@@ -106,21 +96,18 @@ FILL_CELLS = 1 << 13  # uniforms `sample_batch` draws at once, or one cell's if 
 # ---------------------------------------------------------------------------
 # brute-force oracles (pure Python, no shortcuts)
 
-def brute_force_target_probability(table: ConditionalTable, dag: CausalDag,
-                                   arm: Intervention) -> float:
-    """Enumerate every assignment of the free nodes; keep those with the last
-    node equal to 1; sum the products of the free nodes' conditional values."""
-    values = list(arm.values)
-    n_nodes = dag.node_count
-    free = [n for n in range(n_nodes) if values[n] == FREE]
+def _brute_force(table: ConditionalTable, dag: CausalDag, values, free: list[int],
+                 accept) -> float:
+    """Sum, over every assignment of the `free` nodes whose completion of
+    `values` passes `accept`, the product of the free nodes' conditional values."""
     if len(free) > BRUTE_FORCE_LIMIT:
         raise CapacityError(f"{len(free)} free nodes exceeds brute-force limit {BRUTE_FORCE_LIMIT}")
     total = 0.0
     for bits in itertools.product((0, 1), repeat=len(free)):
-        omega = values[:]
+        omega = list(values)
         for n, b in zip(free, bits):
             omega[n] = b
-        if omega[n_nodes - 1] != 1:
+        if not accept(omega):
             continue
         prod = 1.0
         for n in free:
@@ -132,32 +119,25 @@ def brute_force_target_probability(table: ConditionalTable, dag: CausalDag,
     return total
 
 
+def brute_force_target_probability(table: ConditionalTable, dag: CausalDag,
+                                   arm: Intervention) -> float:
+    """Enumerate every assignment of the free nodes; keep those with the last
+    node equal to 1; sum the products of the free nodes' conditional values."""
+    last = dag.node_count - 1
+    free = [n for n in range(dag.node_count) if arm.values[n] == FREE]
+    return _brute_force(table, dag, arm.values, free, lambda omega: omega[last] == 1)
+
+
 def brute_force_parent_probability(table: ConditionalTable, dag: CausalDag, n: int,
                                    pi: ParentRealization, arm: Intervention) -> float:
     """Enumerate assignments of the nodes before n that agree with the
     intervention and realize pi on n's parents; zero if n is intervened."""
-    values = list(arm.values)
-    if values[n] != FREE:
+    if arm.values[n] != FREE:
         return 0.0
-    free = [m for m in range(n) if values[m] == FREE]
-    if len(free) > BRUTE_FORCE_LIMIT:
-        raise CapacityError(f"{len(free)} free nodes exceeds brute-force limit {BRUTE_FORCE_LIMIT}")
-    want = dict(zip(pi.scope, pi.bits))
-    total = 0.0
-    for bits in itertools.product((0, 1), repeat=len(free)):
-        omega = values[:]
-        for m, b in zip(free, bits):
-            omega[m] = b
-        if any(omega[p] != want[p] for p in pi.scope):
-            continue
-        prod = 1.0
-        for m in free:
-            idx = 0
-            for p in dag.parents[m]:
-                idx = (idx << 1) | omega[p]
-            prod *= table.rows[m][idx, omega[m]]
-        total += prod
-    return total
+    free = [m for m in range(n) if arm.values[m] == FREE]
+    want = list(zip(pi.scope, pi.bits))
+    return _brute_force(table, dag, arm.values, free,
+                        lambda omega: all(omega[p] == b for p, b in want))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +367,8 @@ def _sweep(table: ConditionalTable, dag: CausalDag, arms: np.ndarray, n: int) ->
 
 def target_probabilities(table: ConditionalTable, dag: CausalDag, arms) -> np.ndarray:
     """P(last node = 1) for each intervention, evaluated with the given table:
-    the last node's parent-row mass times its chance of 1 in each row."""
+    the last node's parent-row mass times its chance of 1 in each row, its
+    conditional rate where the arm leaves it free, else clamp 1's indicator."""
     m = _arm_matrix(arms, dag)
     last = dag.node_count - 1
     clamp = m[:, last, None]
@@ -413,6 +394,8 @@ def parent_probabilities(table: ConditionalTable, dag: CausalDag, n: int,
 
 def even_split(count: int, k: int) -> np.ndarray:
     """`count` split over k parts, the remainder one each to the first."""
+    if count < 0 or k < 1:
+        raise ParameterError("need a nonnegative count and at least one part")
     base, extra = divmod(count, k)
     return base + (np.arange(k) < extra)
 
@@ -460,24 +443,9 @@ def sample_batch(table: ConditionalTable, dag: CausalDag, arm_values, count: int
     return np.ascontiguousarray(v.astype(np.uint8).take(column, axis=0).T)
 
 
-class Environment:
-    """What a strategy is allowed to touch: apply interventions, observe
-    realizations, and spend experiments; the true table stays hidden."""
-
-    def intervene_many(self, arm, count: int, sizes=None) -> np.ndarray:
-        """Charge `count` experiments and draw that many realizations, shape
-        (count, nodes), under one arm or a (B, nodes) matrix or set of arms,
-        split by `sizes` as `sample_batch` does. `BudgetError` is raised
-        before anything is drawn; a draw that fails charges nothing."""
-        raise NotImplementedError
-
-    @property
-    def experiments_used(self) -> int:
-        raise NotImplementedError
-
-
-class SimulatedEnvironment(Environment):
-    """Forward sampler over a known instance, with an experiment ledger."""
+class SimulatedEnvironment:
+    """What a strategy is allowed to touch: a forward sampler over a known
+    instance, with an experiment ledger; the true table stays hidden."""
 
     def __init__(self, instance: Instance, rng, max_experiments: int | None = None):
         self._instance = instance
@@ -486,6 +454,10 @@ class SimulatedEnvironment(Environment):
         self._max = max_experiments
 
     def intervene_many(self, arm, count: int, sizes=None) -> np.ndarray:
+        """Charge `count` experiments and draw that many realizations, shape
+        (count, nodes), under one arm or a (B, nodes) matrix or set of arms,
+        split by `sizes` as `sample_batch` does. `BudgetError` is raised
+        before anything is drawn; a draw that fails charges nothing."""
         if self._max is not None and self._used + count > self._max:
             raise BudgetError(
                 f"experiment budget exhausted: {self._used}+{count} > {self._max}")

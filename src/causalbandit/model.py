@@ -192,15 +192,6 @@ class ConditionalTable:
         object.__setattr__(table, "rows", rows)
         return table
 
-    @classmethod
-    def from_success_probs(cls, success) -> "ConditionalTable":
-        """Build from per-node vectors of P(node = 1 | parents = row)."""
-        rows = []
-        for p1 in success:
-            p1 = np.asarray(p1, dtype=np.float64)
-            rows.append(np.stack([1.0 - p1, p1], axis=1))
-        return cls(tuple(rows))
-
     @cached_property
     def stochastic(self) -> np.ndarray:
         """Per node, whether every row sums to 1 within 1e-9."""
@@ -248,14 +239,6 @@ class Intervention:
 
     def __len__(self):
         return len(self.values)
-
-    @property
-    def fixed_count(self) -> int:
-        return sum(1 for v in self.values if v != FREE)
-
-    @property
-    def free_nodes(self) -> tuple[int, ...]:
-        return tuple(n for n, v in enumerate(self.values) if v == FREE)
 
 
 class InterventionSet:
@@ -347,9 +330,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def __bool__(self):
-        return self.ok
-
 
 def validate(dag: CausalDag, table: ConditionalTable | None = None,
              arms: InterventionSet | None = None) -> ValidationReport:
@@ -372,11 +352,10 @@ def validate(dag: CausalDag, table: ConditionalTable | None = None,
             if r.shape[0] != dag.row_count(n):
                 bad.append(f"node {n}: table has {r.shape[0]} rows, expected {dag.row_count(n)}")
                 continue
-            if np.any(r < -1e-12) or np.any(r > 1 + 1e-12):
+            if not ((r >= -1e-12) & (r <= 1 + 1e-12)).all():  # NaN fails too
                 bad.append(f"node {n}: probabilities outside [0, 1]")
             sums = r.sum(axis=1)
-            off = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
-            for i in off:
+            for i in np.flatnonzero(~_sums_to_one(r)):
                 bad.append(f"node {n} row {i}: complement sum != 1 ({sums[i]:.6g})")
     if arms is not None:
         if len(arms) == 0:

@@ -8,17 +8,15 @@ upstream estimate is final before it feeds a downstream node's reach: one
 parent-marginal sweep per node gives the chance that each arm produces each
 of its parent rows. That `reach` matrix is kept on the result, and phase 2's
 allocation objective reads it instead of sweeping again. For each pair the
-arm most likely to produce its parent row is pulled for the whole batch, and
-one sampler call draws every batch of a node. `fold_counts`, the one
-count-folding kernel of both phases, turns the draws into (node, parent row,
-value) counts of the nodes each draw's arm leaves free, summed into the
-shared counts that practical-mode phase 2 starts from. Each pair keeps the
-counts of its own row in its own batch, so a draw whose arm clamps the pair's
-node counts for nothing there. `rate_estimates`, the rule both phases
-use, reads the rates off the counts. Rates whose (rate x best reach) product
-falls under the truncation threshold are marked unreliable and zeroed in the
-returned table; pairs whose best reach itself is tiny are marked rare and
-only excluded later, at final-estimate time.
+arm most likely to produce its parent row is pulled for the whole batch.
+`fold_counts`, the one count-folding kernel of both phases, sums the draws
+into the shared counts that practical-mode phase 2 starts from. Each pair
+keeps the counts of its own row in its own batch, so a draw whose arm clamps
+the pair's node counts for nothing there. `rate_estimates`, the rule both
+phases use, reads the rates off the counts. Rates whose (rate x best reach)
+product falls under the truncation threshold are marked unreliable and zeroed
+in the returned table; pairs whose best reach itself is tiny are marked rare
+and only excluded later, at final-estimate time.
 
 Once every arm's prefix mass is exactly zero, the later nodes' queries are
 skipped and they keep their zero `reach` (argmax arm 0, max 0), as the
@@ -33,9 +31,8 @@ marked dead only while N log2(T) < 1000 (the least normal double is 2^-1022).
 
 Every pair of that tail pulls arm 0, so one sampler call draws all of the
 tail's batches, and one fold, one own-row count and one rate estimate cover
-them. The stream is the one a call per node would read: nothing else draws
-between the tail's nodes, and by `sample_batch`'s rule one call over a list
-of batches reads it exactly as one call per batch does. Counts are integers
+them. The stream is the one a call per node would read (`sample_batch`'s
+rule), since nothing else draws between the tail's nodes. Counts are integers
 and the rates and masks elementwise, so every bit is the same too.
 """
 from __future__ import annotations
@@ -46,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetError, ParameterError
-from .inference import Environment, parent_probabilities
+from .inference import SimulatedEnvironment, parent_probabilities
 from .model import (FREE, CausalDag, ConditionalTable, InterventionSet, check_arm_cells,
                     uncertain_rows)
 
@@ -54,8 +51,8 @@ from .model import (FREE, CausalDag, ConditionalTable, InterventionSet, check_ar
 def truncation_threshold(trunc_scale: float, node_count: int, uncertain_rows: int,
                          horizon: int) -> float:
     """12 * scale * nodes^2 * uncertain rows * ln(horizon) / horizon."""
-    if trunc_scale <= 0:
-        raise ParameterError("trunc_scale must be positive")
+    if not 0 < trunc_scale < math.inf:
+        raise ParameterError("trunc_scale must be positive and finite")
     if node_count <= 0 or uncertain_rows <= 0:
         raise ParameterError("node and row counts must be positive")
     if horizon < 2:
@@ -85,14 +82,6 @@ class TruncationSets:
     def dropped_rows(self, n: int) -> np.ndarray:
         """Parent rows of node n with both values dropped."""
         return self.dropped(n).all(axis=1)
-
-    @property
-    def unreliable_count(self) -> int:
-        return int(sum(m.sum() for m in self.unreliable))
-
-    @property
-    def rare_count(self) -> int:
-        return int(sum(m.sum() for m in self.rare))
 
 
 def fold_counts(dag: CausalDag, arm_values, omega: np.ndarray) -> np.ndarray:
@@ -125,11 +114,11 @@ class Phase1Result:
     uncertain_rows: int
 
 
-def run_phase1(env: Environment, dag: CausalDag, arms: InterventionSet,
+def run_phase1(env: SimulatedEnvironment, dag: CausalDag, arms: InterventionSet,
                trunc_scale: float, horizon: int) -> Phase1Result:
     """Scan every uncertain pair once; trunc_scale zero disables truncation."""
-    if trunc_scale < 0:
-        raise ParameterError("trunc_scale must be nonnegative")
+    if not 0 <= trunc_scale < math.inf:
+        raise ParameterError("trunc_scale must be nonnegative and finite")
     uncertain = arms.uncertain_nodes
     total_rows = uncertain_rows(dag, arms)
     if total_rows == 0:

@@ -20,8 +20,9 @@ import numpy as np
 
 from .allocation import MinimizeResult, RatioObjective, minimize, vote_share
 from .errors import ParameterError
-# parent_probabilities is unused here; perfbench/tracer.py's TRACE_POINTS looks it up
-from .inference import Environment, parent_probabilities  # noqa: F401
+from .inference import SimulatedEnvironment
+# unused here; perfbench/tracer.py's TRACE_POINTS looks it up
+from .inference import parent_probabilities  # noqa: F401
 from .model import ConditionalTable, as_rng
 from .phase1 import Phase1Result, fold_counts, rate_estimates
 
@@ -52,19 +53,21 @@ class Phase2Result:
     solver: MinimizeResult | None
 
 
-def run_phase2(env: Environment, phase1: Phase1Result, mode: str, rng) -> Phase2Result:
+def run_phase2(env: SimulatedEnvironment, phase1: Phase1Result, mode: str, rng) -> Phase2Result:
     """Spend the last two thirds of phase 1's horizon; return the final estimate."""
     if mode not in ("paper", "practical"):
         raise ParameterError(f"mode must be 'paper' or 'practical', got {mode!r}")
     dag, arms = phase1.dag, phase1.arms
     rng = as_rng(rng)
 
+    # each pair's best arm: the replay's batches and practical mode's votes
+    best_arms = np.concatenate([phase1.best_arm[n] for n in phase1.uncertain_nodes])
     solver = None
     if mode == "paper":
         solver = minimize(build_allocation_objective(phase1))
         weights = solver.weights.copy()
     else:
-        weights = vote_share([phase1.best_arm[n] for n in phase1.uncertain_nodes], len(arms))
+        weights = vote_share([best_arms], len(arms))
     weights[weights < WEIGHT_CLIP] = 0.0
     total = weights.sum()
     weights = weights / total if total > 0 else np.full(len(arms), 1.0 / len(arms))
@@ -73,10 +76,9 @@ def run_phase2(env: Environment, phase1: Phase1Result, mode: str, rng) -> Phase2
     picks = np.searchsorted(np.cumsum(weights), rng.random(draws), side="right")
     pick_counts = np.bincount(np.clip(picks, 0, len(arms) - 1), minlength=len(arms))
     counts = phase1.shared.copy() if mode == "practical" else np.zeros_like(phase1.shared)
-    replay = np.concatenate([phase1.best_arm[n] for n in phase1.uncertain_nodes])
     picked = np.flatnonzero(pick_counts)
-    batches = arms.take(np.concatenate([replay, picked]))  # the stream's batch order
-    sizes = np.concatenate([np.full(len(replay), phase1.per_pair), pick_counts[picked]])
+    batches = arms.take(np.concatenate([best_arms, picked]))  # the stream's batch order
+    sizes = np.concatenate([np.full(len(best_arms), phase1.per_pair), pick_counts[picked]])
     counts += fold_counts(dag, np.repeat(batches.matrix, sizes, axis=0),
                           env.intervene_many(batches, int(sizes.sum()), sizes))
 

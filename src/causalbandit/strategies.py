@@ -12,13 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-# target_probability is unused here; perfbench/tracer.py's TRACE_POINTS looks it up
-from .inference import (  # noqa: F401
-    Environment,
-    even_split,
-    target_probabilities,
-    target_probability,
-)
+from .inference import SimulatedEnvironment, even_split, target_probabilities
+# unused here; perfbench/tracer.py's TRACE_POINTS looks it up
+from .inference import target_probability  # noqa: F401
 from .model import CausalDag, Instance, Intervention, InterventionSet, uncertain_rows
 from .phase1 import run_phase1
 from .phase2 import run_phase2
@@ -40,7 +36,7 @@ def default_trunc_scale(dag: CausalDag, arms: InterventionSet, mode: str) -> flo
     return uncertain_rows(dag, arms) ** 3 / dag.node_count
 
 
-def run_causal_bandit(env: Environment, dag: CausalDag, arms: InterventionSet,
+def run_causal_bandit(env: SimulatedEnvironment, dag: CausalDag, arms: InterventionSet,
                       horizon: int, mode: str, rng,
                       trunc_scale: float | None = None) -> StrategyResult:
     """Two-phase strategy: estimate the conditional table, then pick the arm
@@ -57,14 +53,12 @@ def run_causal_bandit(env: Environment, dag: CausalDag, arms: InterventionSet,
     return StrategyResult(chosen, arms[chosen], mu_hat, env.experiments_used - before)
 
 
-def run_uniform_baseline(env: Environment, dag: CausalDag, arms: InterventionSet,
+def run_uniform_baseline(env: SimulatedEnvironment, dag: CausalDag, arms: InterventionSet,
                          horizon: int) -> StrategyResult:
     """Draw the horizon in one call, split over the arms by `even_split` (see
     the `inference` module docstring); never-pulled arms keep estimate zero."""
-    if horizon < 0:
-        raise ParameterError("horizon must be nonnegative")
     k = len(arms)
-    pulls = even_split(horizon, k)
+    pulls = even_split(horizon, k)  # refuses a negative horizon and an empty arm set
     before = env.experiments_used
     omega = env.intervene_many(arms, horizon, pulls)
     mu_hat = np.bincount(np.repeat(np.arange(k), pulls), weights=omega[:, -1],
@@ -73,7 +67,7 @@ def run_uniform_baseline(env: Environment, dag: CausalDag, arms: InterventionSet
     return StrategyResult(chosen, arms[chosen], mu_hat, env.experiments_used - before)
 
 
-def run_successive_rejects(env: Environment, dag: CausalDag, arms: InterventionSet,
+def run_successive_rejects(env: SimulatedEnvironment, dag: CausalDag, arms: InterventionSet,
                            horizon: int) -> StrategyResult:
     """Round-based elimination (Audibert & Bubeck 2010): each stage tops every
     survivor up to a shared pull count, then retires the lowest empirical

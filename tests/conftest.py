@@ -38,6 +38,15 @@ def random_instance(rng, n_nodes, n_arms, max_parents=3, free_prob=0.6):
     return Instance(dag, table, arms)
 
 
+def success_table(success):
+    """A table from per-node vectors of P(node = 1 | parents = row)."""
+    rows = []
+    for p1 in success:
+        p1 = np.asarray(p1, dtype=np.float64)
+        rows.append(np.stack([1.0 - p1, p1], axis=1))
+    return ConditionalTable(tuple(rows))
+
+
 def brute_joint(table, dag, arm):
     """Full joint over the arm's free nodes by direct enumeration.
 

@@ -218,7 +218,7 @@ def test_complexity_sandwich_on_random_instances():
         n = inst.dag.node_count
         c = inst.uncertain_rows
         k = len(inst.arms)
-        min_fixed = min(arm.fixed_count for arm in inst.arms)
+        min_fixed = int((inst.arms.matrix != FREE).sum(axis=1).min())
         assert res.value <= min(n * c, n * k) + 1e-3
         assert res.value >= n - min_fixed - 1e-3
 
@@ -231,7 +231,7 @@ def test_complexity_single_arm_exact():
         if not inst0.uncertain_nodes:
             continue
         res = allocation_complexity(inst0)
-        expect = n - inst0.arms[0].fixed_count
+        expect = int((inst0.arms.matrix[0] == FREE).sum())
         assert res.value == pytest.approx(expect, abs=1e-3)
 
 

@@ -85,6 +85,12 @@ def test_even_split_gives_the_remainder_to_the_first_parts():
     assert even_split(0, 2).tolist() == [0, 0]
 
 
+@pytest.mark.parametrize("count,k", [(5, 0), (-5, 2), (0, -1)])
+def test_even_split_needs_a_nonnegative_count_and_a_part(count, k):
+    with pytest.raises(ParameterError):
+        even_split(count, k)
+
+
 @settings(max_examples=80, deadline=None)
 @given(batched(), st.integers(0, 2 ** 32 - 1))
 def test_one_call_equals_one_call_per_arm(case, seed):

@@ -1,35 +1,41 @@
 """No module of the package imports a name it does not use, unless the
-import's first line or the name's own line carries `# noqa: F401` (a name
-that another module looks up there). `__init__.py` imports to re-export."""
+name's own line carries `# noqa: F401`, and every name so marked is one that
+the benchmark's tracer looks up there. `__init__.py` imports to re-export."""
 import ast
 from pathlib import Path
 
 import pytest
+
+from test_trace_points import load_tracer
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "causalbandit"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 NOQA = "# noqa: F401"
 
 
-def unused_imports(source: str) -> list[str]:
-    tree = ast.parse(source)
+def imports(source: str) -> list[tuple[str, bool]]:
+    """Each imported name, and whether its own line carries the marker."""
     lines = source.splitlines()
-    imported = []
-    for node in ast.walk(tree):
+    out = []
+    for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             continue
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         for alias in node.names:
-            if NOQA not in lines[node.lineno - 1] and NOQA not in lines[alias.lineno - 1]:
-                imported.append(alias.asname or alias.name.split(".")[0])
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [name for name in imported if name not in used]
+            out.append((alias.asname or alias.name.split(".")[0],
+                        NOQA in lines[alias.lineno - 1]))
+    return out
+
+
+def unused_imports(source: str) -> list[str]:
+    used = {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+    return [name for name, marked in imports(source) if not marked and name not in used]
 
 
 def test_the_check_finds_an_unused_name():
-    source = ("from .model import (\n    FREE,\n    as_rng,\n)\n"
-              "from .inference import Environment  # noqa: F401\n"
+    source = ("from .model import (  # noqa: F401\n    FREE,\n    as_rng,\n)\n"
+              "from .inference import sample_batch  # noqa: F401\n"
               "import numpy as np\n\nrng = as_rng(np.int8(0))\n")
     assert unused_imports(source) == ["FREE"]
 
@@ -37,3 +43,10 @@ def test_the_check_finds_an_unused_name():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_imported_name_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_every_marked_import_is_a_trace_point():
+    points = {(module, attribute) for module, attribute, _ in load_tracer().TRACE_POINTS}
+    marked = {(module[:-3], name) for module in MODULES
+              for name, noqa in imports((PACKAGE / module).read_text()) if noqa}
+    assert marked and marked <= points

@@ -24,7 +24,7 @@ from causalbandit.model import (
     make_binary_tree_instance,
     random_conditional_table,
 )
-from conftest import random_arm, random_dag, random_instance
+from conftest import random_arm, random_dag, random_instance, success_table
 
 
 def test_sample_all_intervened_is_deterministic():
@@ -38,7 +38,7 @@ def test_sample_all_intervened_is_deterministic():
 
 def test_sample_degenerate_row_always_one():
     dag = CausalDag(((), (0,), (1,)))
-    table = ConditionalTable.from_success_probs([[0.5], [1.0, 1.0], [0.3, 0.6]])
+    table = success_table([[0.5], [1.0, 1.0], [0.3, 0.6]])
     inst = Instance(dag, table, InterventionSet([[FREE, FREE, FREE]]))
     out = sample_batch(inst.table, inst.dag, inst.arms.matrix[0], 200,
                        np.random.default_rng(1))
@@ -72,7 +72,7 @@ def test_target_prob_intervened_target():
 
 def test_target_prob_two_node_chain_hand_value():
     dag = CausalDag(((), (0,)))
-    table = ConditionalTable.from_success_probs([[0.3], [0.2, 0.9]])
+    table = success_table([[0.3], [0.2, 0.9]])
     got = target_probability(table, dag, Intervention((FREE, FREE)))
     assert got == pytest.approx(0.3 * 0.9 + 0.7 * 0.2, abs=1e-12)
 
@@ -196,7 +196,7 @@ def test_capacity_guard_trips():
     wide = 22
     parents = tuple(() for _ in range(wide)) + (tuple(range(wide)),)
     dag = CausalDag(parents)
-    table = ConditionalTable.from_success_probs(
+    table = success_table(
         [np.full(dag.row_count(n), 0.5) for n in range(dag.node_count)])
     with pytest.raises(CapacityError):
         target_probability(table, dag, Intervention((FREE,) * dag.node_count))
@@ -225,7 +225,7 @@ def test_deep_chain_matches_transition_product():
     n = 2000
     dag = CausalDag(((),) + tuple((i,) for i in range(n - 1)))
     success = np.random.default_rng(12).uniform(0.05, 0.95, size=(n, 2))
-    table = ConditionalTable.from_success_probs([success[0, :1]] + list(success[1:]))
+    table = success_table([success[0, :1]] + list(success[1:]))
     dist = np.array([1 - success[0, 0], success[0, 0]])
     for i in range(1, n):
         dist = dist @ np.array([[1 - success[i, 0], success[i, 0]],

@@ -30,7 +30,7 @@ from causalbandit.model import (
     soft_to_hard_reduction,
     validate,
 )
-from conftest import brute_joint, random_dag
+from conftest import brute_joint, random_dag, success_table
 from test_parent_marginals import networks
 
 
@@ -40,7 +40,7 @@ def chain_dag():
 
 def test_validate_accepts_well_formed_chain():
     dag = chain_dag()
-    table = ConditionalTable.from_success_probs([[0.5], [0.3, 0.7], [0.2, 0.9]])
+    table = success_table([[0.5], [0.3, 0.7], [0.2, 0.9]])
     assert validate(dag, table).ok
 
 
@@ -82,6 +82,16 @@ def test_validate_flags_complement_sum():
     rows[1] = np.array([[0.8, 0.3], [0.2, 0.8]])
     report = validate(dag, ConditionalTable(tuple(rows)))
     assert any("complement sum" in v for v in report.violations)
+
+
+def test_validate_flags_nan_entries():
+    dag = chain_dag()
+    rows = [np.array([[0.5, 0.5]]), np.array([[np.nan, np.nan], [0.2, 0.8]]),
+            np.array([[0.7, 0.3], [0.2, 0.8]])]
+    report = validate(dag, ConditionalTable(tuple(rows)))
+    assert "node 1: probabilities outside [0, 1]" in report.violations
+    assert any(v.startswith("node 1 row 0: complement sum") for v in report.violations)
+    assert len(report.violations) == 2
 
 
 def test_validate_flags_tiny_graph():
@@ -141,7 +151,7 @@ def reference_random_conditional_table(dag, rng_seed):
     """The table as it was drawn before one call drew every row: one call per
     node, in node order, each row stacked and copied on its own."""
     rng = as_rng(rng_seed)
-    return ConditionalTable.from_success_probs(
+    return success_table(
         [rng.random(dag.row_count(n)) for n in range(dag.node_count)])
 
 
@@ -233,8 +243,7 @@ def test_enumerate_root_interventions_counts_and_fill():
 def test_intervention_string_roundtrip():
     a = Intervention.from_string("*01*1")
     assert str(a) == "*01*1"
-    assert a.free_nodes == (0, 3)
-    assert a.fixed_count == 3
+    assert [n for n, v in enumerate(a.values) if v == FREE] == [0, 3]
 
 
 @pytest.mark.parametrize("text", ["x*1", "*2*", "0 1"])
@@ -399,7 +408,7 @@ def test_arm_entries_are_compared_before_the_int8_cast(bad):
     `InterventionSet` take 255 as FREE, 257 as 1 and 0.5 as 0, and
     `Intervention((0.5, 1, 0))` print as 010."""
     dag = chain_dag()
-    table = ConditionalTable.from_success_probs([[0.5], [0.3, 0.7], [0.2, 0.9]])
+    table = success_table([[0.5], [0.3, 0.7], [0.2, 0.9]])
     row = (bad, 0, 1)
     with pytest.raises(ParameterError, match="entries"):
         Intervention(row)

@@ -37,7 +37,7 @@ from causalbandit.model import (
     random_conditional_table,
 )
 from causalbandit.phase1 import run_phase1
-from conftest import brute_joint
+from conftest import brute_joint, success_table
 
 
 @st.composite
@@ -263,7 +263,7 @@ def test_state_stays_within_budget(monkeypatch):
 def test_wide_single_arm_raises_capacity_error():
     wide = FRONTIER_LIMIT + 1
     dag = CausalDag(tuple(() for _ in range(wide)) + (tuple(range(wide)),))
-    table = ConditionalTable.from_success_probs(
+    table = success_table(
         [np.full(dag.row_count(n), 0.5) for n in range(dag.node_count)])
     arm = Intervention((FREE,) * dag.node_count)
     for _ in range(2):  # the plan is cached, and each call is checked again

@@ -8,7 +8,6 @@ from causalbandit.inference import SimulatedEnvironment
 from causalbandit.model import (
     FREE,
     CausalDag,
-    ConditionalTable,
     Instance,
     InterventionSet,
     enumerate_budget_interventions,
@@ -16,13 +15,13 @@ from causalbandit.model import (
 )
 from causalbandit.phase1 import rate_estimates, run_phase1, truncation_threshold
 
-from conftest import random_instance
+from conftest import random_instance, success_table
 
 
 def copy_chain_instance():
     """Three-node chain where each node copies its parent and the root is 1."""
     dag = CausalDag(((), (0,), (1,)))
-    table = ConditionalTable.from_success_probs([
+    table = success_table([
         np.array([1.0]),
         np.array([0.0, 1.0]),
         np.array([0.0, 1.0]),
@@ -51,10 +50,21 @@ def test_threshold_formula():
     (1.0, 0, 5, 100),
     (1.0, 3, 0, 100),
     (1.0, 3, 5, 1),
+    (math.nan, 3, 5, 100),
+    (math.inf, 3, 5, 100),
 ])
 def test_threshold_rejects_bad_inputs(args):
     with pytest.raises(ParameterError):
         truncation_threshold(*args)
+
+
+@pytest.mark.parametrize("scale", [-1.0, math.nan, math.inf])
+def test_phase1_rejects_a_negative_or_non_finite_scale(scale):
+    inst = copy_chain_instance()
+    env = SimulatedEnvironment(inst, 0)
+    with pytest.raises(ParameterError):
+        run_phase1(env, inst.dag, inst.arms, scale, 3000)
+    assert env.experiments_used == 0
 
 
 def test_budget_too_small_raises():
@@ -92,7 +102,7 @@ def test_draws_of_a_node_its_chosen_arm_clamps_are_not_counted():
     to the first arm, whose draws all hold node 1 at 1; they say nothing of
     the row's rates and must leave it unseen."""
     dag = CausalDag(((), (0,), (1,)))
-    table = ConditionalTable.from_success_probs([
+    table = success_table([
         np.array([0.45]), np.array([0.17, 0.3]), np.array([0.5, 0.5])])
     arms = InterventionSet(np.array([[FREE, 1, FREE], [0, FREE, FREE]]))
     inst = Instance(dag, table, arms)
@@ -111,8 +121,7 @@ def test_zero_scale_disables_truncation():
     env = SimulatedEnvironment(inst, 1)
     res = run_phase1(env, inst.dag, inst.arms, 0.0, 3 * inst.uncertain_rows * 10)
     assert res.threshold == 0.0
-    assert res.truncation.unreliable_count == 0
-    assert res.truncation.rare_count == 0
+    assert not any(m.any() for m in res.truncation.unreliable + res.truncation.rare)
 
 
 def test_huge_scale_truncates_everything():

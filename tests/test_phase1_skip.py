@@ -31,6 +31,7 @@ from causalbandit.phase1 import (
     truncation_threshold,
 )
 from causalbandit.sweep import ExperimentConfig, build_arms, load_structure
+from conftest import success_table
 from test_parent_marginals import networks
 
 
@@ -158,7 +159,7 @@ def chain_instance(n_nodes):
     """A chain of fair coins that copy their parent with chance 0.9, under
     one arm that leaves every node free."""
     dag = CausalDag(((),) + tuple((n - 1,) for n in range(1, n_nodes)))
-    table = ConditionalTable.from_success_probs(
+    table = success_table(
         [np.array([0.5])] + [np.array([0.1, 0.9])] * (n_nodes - 1))
     return Instance(dag, table, InterventionSet(np.full((1, n_nodes), FREE)))
 

@@ -10,21 +10,20 @@ from causalbandit.inference import SimulatedEnvironment, parent_probabilities
 from causalbandit.model import (
     FREE,
     CausalDag,
-    ConditionalTable,
     Instance,
     InterventionSet,
 )
 from causalbandit.phase1 import run_phase1
 from causalbandit.phase2 import build_allocation_objective, run_phase2
 
-from conftest import random_instance
+from conftest import random_instance, success_table
 from test_parent_marginals import networks
 from test_phase1_skip import chain_instance
 
 
 def copy_chain_instance():
     dag = CausalDag(((), (0,), (1,)))
-    table = ConditionalTable.from_success_probs([
+    table = success_table([
         np.array([1.0]),
         np.array([0.0, 1.0]),
         np.array([0.0, 1.0]),

@@ -7,7 +7,6 @@ from causalbandit.inference import SimulatedEnvironment, target_probabilities
 from causalbandit.model import (
     FREE,
     CausalDag,
-    ConditionalTable,
     Instance,
     Intervention,
     InterventionSet,
@@ -24,13 +23,13 @@ from causalbandit.strategies import (
     simple_regret,
 )
 
-from conftest import random_dag, random_instance
+from conftest import random_dag, random_instance, success_table
 
 
 def two_arm_chain():
     """Each node copies its parent; intervening 1 on the root forces reward 1."""
     dag = CausalDag(((), (0,), (1,)))
-    table = ConditionalTable.from_success_probs([
+    table = success_table([
         np.array([0.5]),
         np.array([0.0, 1.0]),
         np.array([0.0, 1.0]),
@@ -188,7 +187,7 @@ def test_rejects_takes_the_reference_loops_steps():
         if case % 2:
             # 0/1 rates make every reward deterministic, so the means tie
             dag = random_dag(rng, 5)
-            table = ConditionalTable.from_success_probs(
+            table = success_table(
                 [rng.integers(0, 2, dag.row_count(n)) for n in range(5)])
             inst = Instance(dag, table, inst.arms)
         for horizon in (k, k + 1, 2 * k, 9 * k):
@@ -202,6 +201,16 @@ def test_rejects_takes_the_reference_loops_steps():
             assert (got.chosen_index, got.experiments_used) == (want[0], want[2]), where
             assert got.mu_hat.tobytes() == want[1].tobytes(), where
             assert ours.bit_generator.state == theirs.bit_generator.state, where
+
+
+def test_uniform_validation():
+    inst = two_arm_chain()
+    empty = InterventionSet(inst.arms.matrix[:0])
+    for arms, horizon in ((empty, 10), (inst.arms, -1)):
+        env = SimulatedEnvironment(inst, 0)
+        with pytest.raises(ParameterError):
+            run_uniform_baseline(env, inst.dag, arms, horizon)
+        assert env.experiments_used == 0
 
 
 def test_rejects_validation():
