@@ -23,6 +23,7 @@ from .model import (
     Instance,
     Intervention,
     InterventionSet,
+    check_binary_tree,
     random_conditional_table,
     subset_arm_count,
 )
@@ -140,6 +141,8 @@ def _cmd_gamma(args, out) -> int:
     if args.alpha_seed < 0:
         raise ParameterError(f"--alpha-seed must be nonnegative, got {args.alpha_seed}")
     config = _source_config(args, () if args.arms else (args.budget,))
+    if args.arms and config.source == "tree":  # a wrong length exits before the tree is built
+        _parse_arm_strings(args.arms, 2 * check_binary_tree(args.tree_height) - 1)
     label, dag, targets = load_structure(config)
     if args.arms:
         arms = _parse_arm_strings(args.arms, dag.node_count)

@@ -66,7 +66,6 @@ reach it only through `SimulatedEnvironment.intervene_many`.
 from __future__ import annotations
 
 import functools
-import heapq
 import itertools
 from typing import NamedTuple
 
@@ -96,26 +95,31 @@ FILL_CELLS = 1 << 13  # uniforms `sample_batch` draws at once, or one cell's if 
 # ---------------------------------------------------------------------------
 # brute-force oracles (pure Python, no shortcuts)
 
-def _brute_force(table: ConditionalTable, dag: CausalDag, values, free: list[int],
-                 accept) -> float:
-    """Sum, over every assignment of the `free` nodes whose completion of
-    `values` passes `accept`, the product of the free nodes' conditional values."""
+def _completions(table: ConditionalTable, dag: CausalDag, values, free: list[int]):
+    """Each completion of `values` over the `free` nodes, in `itertools.product`
+    order, with the product of the free nodes' conditional values in it."""
     if len(free) > BRUTE_FORCE_LIMIT:
         raise CapacityError(f"{len(free)} free nodes exceeds brute-force limit {BRUTE_FORCE_LIMIT}")
-    total = 0.0
     for bits in itertools.product((0, 1), repeat=len(free)):
         omega = list(values)
         for n, b in zip(free, bits):
             omega[n] = b
-        if not accept(omega):
-            continue
         prod = 1.0
         for n in free:
             idx = 0
             for p in dag.parents[n]:
                 idx = (idx << 1) | omega[p]
             prod *= table.rows[n][idx, omega[n]]
-        total += prod
+        yield omega, prod
+
+
+def _brute_force(table: ConditionalTable, dag: CausalDag, values, free: list[int],
+                 accept) -> float:
+    """The sum, in order, of the products of the completions that pass `accept`."""
+    total = 0.0
+    for omega, prod in _completions(table, dag, values, free):
+        if accept(omega):
+            total += prod
     return total
 
 
@@ -180,14 +184,9 @@ class _Plan(NamedTuple):
 def _plan(table: ConditionalTable, dag: CausalDag, free_any: np.ndarray, n: int) -> _Plan:
     relevant = set(dag.parents[n])
     relevant.update(np.flatnonzero(free_any[:n] & ~table.stochastic[:n]).tolist())
-    work = list(relevant)
-    while work:
-        m = work.pop()
-        if free_any[m]:
-            for p in dag.parents[m]:
-                if p not in relevant:
-                    relevant.add(p)
-                    work.append(p)
+    for m in range(n - 1, -1, -1):  # parents precede children, so one pass closes the set
+        if m in relevant and free_any[m]:
+            relevant.update(dag.parents[m])
     plan = _min_fill(dag, free_any.tobytes(), n, sum(1 << m for m in relevant))
     if plan.width > FRONTIER_LIMIT:
         raise CapacityError(f"largest clique {plan.width} exceeds limit {FRONTIER_LIMIT}")
@@ -228,13 +227,11 @@ def _min_fill(dag: CausalDag, free_bytes: bytes, n: int, relevant: int) -> _Plan
         return tuple(2 if scope >> u & 1 else 1 for u in clique)
 
     adj = dict.fromkeys(variables, 0)
-    live = {}                        # factor id -> scope, for the unconsumed ones
-    holders: dict[int, list[int]] = {v: [] for v in variables}
+    live = {}  # factor id -> scope, for the unconsumed ones, ids ascending
     for i, (_, span, _) in enumerate(factors):
         live[i] = scope = sum(1 << v for v in span)
         for v in span:
             adj[v] |= scope
-            holders[v].append(i)
     for v in variables:
         adj[v] &= ~(1 << v)
 
@@ -244,15 +241,11 @@ def _min_fill(dag: CausalDag, free_bytes: bytes, n: int, relevant: int) -> _Plan
         return (d * (d - 1) - sum((adj[a] & nb).bit_count() for a in _nodes(nb))) // 2
 
     score = {v: fill(v) for v in variables.difference(keep)}
-    heap = [(s, v) for v, s in score.items()]  # stale entries are skipped
-    heapq.heapify(heap)
     steps, width = [], len(keep)
-    while heap:  # greedy min-fill; the lowest node breaks a tie
-        s, v = heapq.heappop(heap)
-        if score.get(v) != s:
-            continue
+    while score:  # greedy min-fill; the lowest node breaks a tie
+        v = min(score, key=lambda u: (score[u], u))
         del score[v]
-        inputs = [i for i in holders.pop(v) if i in live]
+        inputs = [i for i, s in live.items() if s >> v & 1]
         joined = 0
         for i in inputs:
             joined |= live[i]
@@ -262,9 +255,6 @@ def _min_fill(dag: CausalDag, free_bytes: bytes, n: int, relevant: int) -> _Plan
         steps.append((tuple((i, shape(live.pop(i), clique)) for i in inputs),
                       clique.index(v)))
         live[message] = joined & ~(1 << v)
-        for u in clique:
-            if u != v:
-                holders[u].append(message)
         nb = adj.pop(v)
         touched = nb
         for a in _nodes(nb):
@@ -273,7 +263,6 @@ def _min_fill(dag: CausalDag, free_bytes: bytes, n: int, relevant: int) -> _Plan
         for u in _nodes(touched):
             if u in score:
                 score[u] = fill(u)
-                heapq.heappush(heap, (score[u], u))
     output = sorted(keep)  # the output factor's axes
     final = tuple((i, shape(scope, output)) for i, scope in sorted(live.items()))
     return _Plan(tuple(factors), tuple(steps), final, width)

@@ -150,7 +150,7 @@ def run_phase1(env: SimulatedEnvironment, dag: CausalDag, arms: InterventionSet,
         for m in nodes:
             at = slice(dag.row_offsets[m], dag.row_offsets[m + 1])
             best_arm[at] = np.argmax(reach[m], axis=0)
-            best_value[at] = reach[m][best_arm[at], np.arange(rows[m])]
+            best_value[at] = reach[m].max(axis=0)
         # pair i's batch is the per_pair draws from i * per_pair
         pulled = arms.take(best_arm[pairs])
         omega = env.intervene_many(pulled, len(pairs) * per_pair)

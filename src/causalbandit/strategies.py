@@ -55,12 +55,12 @@ def run_causal_bandit(env: SimulatedEnvironment, dag: CausalDag, arms: Intervent
 
 def run_uniform_baseline(env: SimulatedEnvironment, dag: CausalDag, arms: InterventionSet,
                          horizon: int) -> StrategyResult:
-    """Draw the horizon in one call, split over the arms by `even_split` (see
-    the `inference` module docstring); never-pulled arms keep estimate zero."""
+    """Draw the horizon in one call, split over the arms by the sampler's
+    default, `even_split`; never-pulled arms keep estimate zero."""
     k = len(arms)
     pulls = even_split(horizon, k)  # refuses a negative horizon and an empty arm set
     before = env.experiments_used
-    omega = env.intervene_many(arms, horizon, pulls)
+    omega = env.intervene_many(arms, horizon)
     mu_hat = np.bincount(np.repeat(np.arange(k), pulls), weights=omega[:, -1],
                          minlength=k) / np.maximum(pulls, 1)
     chosen = int(np.argmax(mu_hat))

@@ -16,7 +16,8 @@ budget. Cells may be fanned out over processes via the CAUSALBANDIT_WORKERS
 environment variable, each worker scoring its own copy of a cell's
 instances; results are reduced in a fixed order either way.
 Cells where successive rejects could pull nothing (horizon at most the arm
-count) run as usual and are listed in `RegretReport.warnings`.
+count), and proposed-strategy cells with trials whose estimates take one
+value over every arm, run as usual and are listed in `RegretReport.warnings`.
 """
 from __future__ import annotations
 
@@ -258,10 +259,11 @@ class RegretReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_trial(strategy: str, instance: Instance, horizon: int,
-               env_seed: int, draw_seed: int, elapsed: list | None = None) -> float:
+def _run_trial(strategy: str, instance: Instance, horizon: int, env_seed: int,
+               draw_seed: int, elapsed: list | None = None, flat: list | None = None) -> float:
     """One trial's regret. The strategy's wall time in ms, without the regret
-    scoring, is appended to `elapsed` when it is given."""
+    scoring, goes to `elapsed`, and for a proposed strategy whether its
+    estimates are one value over every arm to `flat`, when they are given."""
     start = time.perf_counter()
     env = SimulatedEnvironment(instance, env_seed, max_experiments=horizon)
     if strategy in PROPOSED:
@@ -269,6 +271,8 @@ def _run_trial(strategy: str, instance: Instance, horizon: int,
         rng = np.random.default_rng(draw_seed)
         result = run_causal_bandit(env, instance.dag, instance.arms, horizon,
                                    mode, rng)
+        if flat is not None:
+            flat.append(bool((result.mu_hat == result.mu_hat[0]).all()))
     elif strategy == "successive-rejects":
         result = run_successive_rejects(env, instance.dag, instance.arms, horizon)
     else:
@@ -289,13 +293,13 @@ def _draw_instances(config: ExperimentConfig, dag: CausalDag, arms: Intervention
 
 
 def _run_cell(payload):
+    """The cell's row, or its failure, and its warnings."""
     config, label, budget, multiplier, strategy, instances = payload
     if isinstance(instances, (ParameterError, CapacityError)):
-        return CellFailure(budget, multiplier, strategy, str(instances))
+        return CellFailure(budget, multiplier, strategy, str(instances)), []
     horizon = multiplier * uncertain_rows(instances[0].dag, instances[0].arms)
     strategy_id = STRATEGIES.index(strategy)
-    regrets = []
-    elapsed = []
+    regrets, elapsed, flat = [], [], []
     try:
         for trial, instance in enumerate(instances):
             env_seed = mix_seed(_ENV_TAG, config.seed, budget, multiplier,
@@ -303,14 +307,22 @@ def _run_cell(payload):
             draw_seed = mix_seed(_DRAW_TAG, config.seed, budget, multiplier,
                                  strategy_id, trial)
             regrets.append(_run_trial(strategy, instance, horizon, env_seed, draw_seed,
-                                      elapsed))
+                                      elapsed, flat))
     except (BudgetError, ParameterError, CapacityError) as err:
-        return CellFailure(budget, multiplier, strategy, str(err))
+        return CellFailure(budget, multiplier, strategy, str(err)), []
     vals = np.asarray(regrets)
     std_err = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
     runtime = float(np.mean(elapsed)) if config.timing else 0.0
-    return RegretRow(label, strategy, budget, horizon, config.trials,
-                     float(np.mean(vals)), std_err, runtime)
+    warnings, arm_count = [], len(instances[0].arms)
+    if strategy == "successive-rejects" and horizon <= arm_count:
+        warnings.append(f"horizon {horizon} is at most the arm count {arm_count}, "
+                        "so successive rejects spent no experiments")
+    if any(flat):
+        warnings.append(f"{sum(flat)} of {len(flat)} trials estimated one reward for "
+                        "every arm, so the tie-break chose arm 0")
+    return (RegretRow(label, strategy, budget, horizon, config.trials,
+                      float(np.mean(vals)), std_err, runtime),
+            [CellWarning(budget, multiplier, strategy, w) for w in warnings])
 
 
 def run_sweep(config: ExperimentConfig) -> RegretReport:
@@ -347,15 +359,10 @@ def run_sweep(config: ExperimentConfig) -> RegretReport:
     else:
         outcomes = [_run_cell(p) for p in payloads]
     report = RegretReport([], [])
-    for (_, _, budget, multiplier, strategy, cell), outcome in zip(payloads, outcomes):
+    for outcome, warnings in outcomes:
         if isinstance(outcome, CellFailure):
             report.failures.append(outcome)
-            continue
-        report.rows.append(outcome)
-        arm_count = len(cell[0].arms)
-        if strategy == "successive-rejects" and outcome.horizon <= arm_count:
-            report.warnings.append(CellWarning(
-                budget, multiplier, strategy,
-                f"horizon {outcome.horizon} is at most the arm count {arm_count}, "
-                "so successive rejects spent no experiments"))
+        else:
+            report.rows.append(outcome)
+        report.warnings += warnings
     return report

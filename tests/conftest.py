@@ -1,9 +1,7 @@
 """Shared generators and enumeration helpers for the test suite."""
-import itertools
-
 import numpy as np
-import pytest
 
+from causalbandit.inference import _completions
 from causalbandit.model import (
     FREE,
     CausalDag,
@@ -52,18 +50,6 @@ def brute_joint(table, dag, arm):
 
     Returns {free-node bit tuple: probability}; fixed nodes are constants.
     """
-    values = list(arm.values)
-    free = [n for n in range(dag.node_count) if values[n] == FREE]
-    out = {}
-    for bits in itertools.product((0, 1), repeat=len(free)):
-        omega = values[:]
-        for n, b in zip(free, bits):
-            omega[n] = b
-        prod = 1.0
-        for n in free:
-            idx = 0
-            for p in dag.parents[n]:
-                idx = (idx << 1) | omega[p]
-            prod *= table.rows[n][idx, omega[n]]
-        out[bits] = prod
-    return out
+    free = [n for n in range(dag.node_count) if arm.values[n] == FREE]
+    return {tuple(omega[n] for n in free): prod
+            for omega, prod in _completions(table, dag, arm.values, free)}

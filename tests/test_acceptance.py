@@ -37,7 +37,6 @@ from causalbandit.model import (
     enumerate_budget_interventions,
     enumerate_root_interventions,
     make_binary_tree_dag,
-    random_conditional_table,
     soft_to_hard_reduction,
 )
 from causalbandit.phase1 import run_phase1

@@ -14,12 +14,7 @@ from causalbandit.allocation import (
     minimize,
 )
 from causalbandit.errors import IllPosedObjectiveError, ParameterError
-from causalbandit.model import (
-    FREE,
-    Instance,
-    InterventionSet,
-    random_conditional_table,
-)
+from causalbandit.model import FREE
 
 from conftest import random_instance
 

@@ -9,6 +9,7 @@ import tracemalloc
 import pytest
 
 import causalbandit
+from causalbandit import sweep
 from causalbandit.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -80,6 +81,18 @@ def test_gamma_rejects_malformed_arm(capsys):
                            capsys)
     assert code == 1
     assert "characters" in err
+
+
+def test_gamma_checks_an_arm_length_before_building_the_tree(capsys, monkeypatch):
+    """A tree of height 25 has 67,108,863 nodes: a one-character arm exits 1
+    on the node count alone, and the tree is never built."""
+    def unbuilt(height):
+        raise AssertionError(f"a tree of height {height} was built")
+
+    monkeypatch.setattr(sweep, "_tree_dag", unbuilt)
+    code, out, err = run_cli(["gamma", "--tree-height", "25", "--arms", "0"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: arm '0' has 1 characters, instance has 67108863 nodes\n"
 
 
 def test_gamma_enumerated_budget(capsys):

@@ -1,6 +1,7 @@
 """No module of the package imports a name it does not use, unless the
 name's own line carries `# noqa: F401`, and every name so marked is one that
-the benchmark's tracer looks up there. `__init__.py` imports to re-export."""
+the benchmark's tracer looks up there. `__init__.py` imports to re-export.
+No test module imports a name it does not use, marked or not."""
 import ast
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from test_trace_points import load_tracer
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "causalbandit"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
 NOQA = "# noqa: F401"
 
 
@@ -43,6 +45,12 @@ def test_the_check_finds_an_unused_name():
 @pytest.mark.parametrize("module", MODULES)
 def test_every_imported_name_is_used(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
+def test_every_test_module_uses_its_imports(module):
+    source = (TESTS / module).read_text()
+    assert unused_imports(source) == [] and not any(marked for _, marked in imports(source))
 
 
 def test_every_marked_import_is_a_trace_point():

@@ -24,7 +24,7 @@ from causalbandit.model import (
     make_binary_tree_instance,
     random_conditional_table,
 )
-from conftest import random_arm, random_dag, random_instance, success_table
+from conftest import random_instance, success_table
 
 
 def test_sample_all_intervened_is_deterministic():

@@ -17,7 +17,6 @@ from causalbandit.model import (
     FREE,
     CausalDag,
     ConditionalTable,
-    Instance,
     Intervention,
     InterventionSet,
     ParentRealization,

@@ -1,17 +1,18 @@
 """Sweep harness: seed mixing, config parsing, report shape, determinism."""
 import concurrent.futures
 import itertools
-import math
 import os
 import pathlib
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import causalbandit
 from causalbandit import sweep
+from causalbandit.cli import main
 from causalbandit.errors import CapacityError, ParameterError
 from causalbandit.model import CausalDag, ConditionalTable, Instance, InterventionSet
 from causalbandit.sweep import (
@@ -317,6 +318,39 @@ def test_successive_rejects_cells_without_pulls_are_warned_about():
     assert "horizon 56 is at most the arm count 56" in report.warnings[2].message
     assert len(report.to_csv().splitlines()) == 13
     assert RegretReport([], []).warnings == []
+
+
+def test_proposed_trials_with_one_estimate_for_every_arm_are_warned_about(monkeypatch, capsys):
+    """On tree-h2 paper mode truncates every entry, so its estimates are all
+    zero and the tie-break picks arm 0, which here reads as zero regret.
+    Each cell with such trials gets one warning with their count, printed
+    by `run`, and the CSV does not change."""
+    flat = "trials estimated one reward for every arm, so the tie-break chose arm 0"
+    config = ExperimentConfig(tree_height=2, budgets=(1, 2), multipliers=(3,), trials=2,
+                              strategies=("proposed-paper", "proposed-practical", "uniform"))
+    report = run_sweep(config)
+    assert [(w.budget, w.multiplier, w.strategy, w.message) for w in report.warnings] == [
+        (b, 3, "proposed-paper", f"2 of 2 {flat}") for b in (1, 2)]
+    assert report.rows[0].strategy == "proposed-paper" and report.rows[0].mean_regret == 0.0
+
+    code = main(["run", "--set", "tree_height=2", "--set", "budgets=1,2", "--set", "trials=2",
+                 "--set", "strategies=proposed-paper,proposed-practical,uniform"])
+    out, err = capsys.readouterr()
+    assert code == 0 and out == report.to_csv()
+    assert err == "".join(f"warning: budget={b} multiplier=3 strategy=proposed-paper: "
+                          f"2 of 2 {flat}\n" for b in (1, 2))
+
+    real, calls = sweep.run_causal_bandit, []
+
+    def first_flat(*args):  # the first trial's estimates, made one value
+        result = real(*args)
+        calls.append(result)
+        return replace(result, mu_hat=np.zeros_like(result.mu_hat)) if len(calls) == 1 \
+            else result
+
+    monkeypatch.setattr(sweep, "run_causal_bandit", first_flat)
+    report = run_sweep(replace(config, budgets=(1,), strategies=("proposed-practical",)))
+    assert [w.message for w in report.warnings] == [f"1 of 2 {flat}"]
 
 
 def test_degenerate_instance_gives_zero_regret_rows():
