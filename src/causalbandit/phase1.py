@@ -29,11 +29,11 @@ sums, so every term of a later sweep holds an exact zero and it returns
 factors, each an indicator or a count ratio of at least 1/T, so arms are
 marked dead only while N log2(T) < 1000 (the least normal double is 2^-1022).
 
-Every pair of that tail pulls arm 0, so one sampler call draws all of the
-tail's batches, and one fold, one own-row count and one rate estimate cover
-them. The stream is the one a call per node would read (`sample_batch`'s
-rule), since nothing else draws between the tail's nodes. Counts are integers
-and the rates and masks elementwise, so every bit is the same too.
+The node whose query leaves no arm alive is drawn with that tail, whose pairs
+all pull arm 0, in one sampler call, one fold, one own-row count and one rate
+estimate. The stream is the one a call per node would read (`sample_batch`'s
+rule), since nothing else draws between these nodes. Counts are integers and
+the rates and masks elementwise, so every bit is the same too.
 """
 from __future__ import annotations
 
@@ -120,14 +120,14 @@ def run_phase1(env: SimulatedEnvironment, dag: CausalDag, arms: InterventionSet,
     if not 0 <= trunc_scale < math.inf:
         raise ParameterError("trunc_scale must be nonnegative and finite")
     uncertain = arms.uncertain_nodes
-    total_rows = uncertain_rows(dag, arms)
-    if total_rows == 0:
+    pair_count = uncertain_rows(dag, arms)
+    if pair_count == 0:
         raise ParameterError("no arm leaves any node free")
-    if horizon < 3 * total_rows:
+    if horizon < 3 * pair_count:
         raise BudgetError(
-            f"horizon {horizon} is below 3x the {total_rows} uncertain rows")
-    per_pair = horizon // (3 * total_rows)
-    threshold = (truncation_threshold(trunc_scale, dag.node_count, total_rows, horizon)
+            f"horizon {horizon} is below 3x the {pair_count} uncertain rows")
+    per_pair = horizon // (3 * pair_count)
+    threshold = (truncation_threshold(trunc_scale, dag.node_count, pair_count, horizon)
                  if trunc_scale > 0 else 0.0)
 
     check_arm_cells(len(arms), dag.total_rows, "rows")  # the reach matrices
@@ -137,53 +137,47 @@ def run_phase1(env: SimulatedEnvironment, dag: CausalDag, arms: InterventionSet,
     own = np.zeros((dag.total_rows, 2), dtype=np.int64)  # each pair's row of its own batch
     shared = np.zeros_like(own)
     unreliable = np.zeros(own.shape, dtype=bool)
-    best_arm = np.full(dag.total_rows, -1, dtype=np.int64)
+    row_node = np.repeat(np.arange(dag.node_count), rows)
+    # a skipped node keeps argmax 0 and max 0; -1 marks the rows of nodes no arm frees
+    best_arm = np.where(arms.ever_free[row_node], 0, -1)
     best_value = np.zeros(dag.total_rows)
     reach = [np.zeros((len(arms), r)) for r in rows]
-    row_node = np.repeat(np.arange(dag.node_count), rows)
-
-    def scan(nodes, table):
-        """Pull each pair of `nodes` under its best arm for its batch, every
-        batch in one sampler call, and return `table` with their estimates."""
-        pairs = np.concatenate([np.arange(dag.row_offsets[m], dag.row_offsets[m + 1])
-                                for m in nodes])
-        for m in nodes:
-            at = slice(dag.row_offsets[m], dag.row_offsets[m + 1])
-            best_arm[at] = np.argmax(reach[m], axis=0)
-            best_value[at] = reach[m].max(axis=0)
-        # pair i's batch is the per_pair draws from i * per_pair
-        pulled = arms.take(best_arm[pairs])
-        omega = env.intervene_many(pulled, len(pairs) * per_pair)
-        draw_arms = pulled.matrix.repeat(per_pair, axis=0)
-        shared[:] += fold_counts(dag, draw_arms, omega)
-        pair = pairs.repeat(per_pair)  # each draw's pair, and its node
-        node, draws = row_node[pair], np.arange(len(pair))
-        key = np.einsum("dn,dn->d", omega, dag.row_keys.T[node]) + dag.row_offsets[node]
-        hit = (key == pair) & (draw_arms[draws, node] == FREE)
-        own[:] += np.bincount(2 * pair[hit] + omega[draws[hit], node[hit]],
-                              minlength=2 * dag.total_rows).reshape(-1, 2)
-        counts = own[pairs]
-        est = rate_estimates(counts.sum(axis=1), counts[:, 1])
-        if trunc_scale > 0:
-            unreliable[pairs] = est * best_value[pairs][:, None] <= 2.0 * math.e * threshold
-        return table.with_nodes(nodes, np.where(unreliable[pairs], 0.0, est))
 
     exact_zeros = dag.node_count * math.log2(horizon) < 1000  # see the module docstring
     alive = np.ones(len(arms), dtype=bool)  # arms whose prefix mass may be nonzero
     for i, n in enumerate(uncertain):
         # the query reads only nodes before n, so one per node serves every row
         reach[n] = parent_probabilities(table, dag, n, arms)
+        lo, hi = dag.row_offsets[n], dag.row_offsets[n + 1]
+        best_arm[lo:hi] = np.argmax(reach[n], axis=0)
+        best_value[lo:hi] = reach[n].max(axis=0)
         if exact_zeros:
             alive &= (arms.matrix[:, n] != FREE) | reach[n].any(axis=1)
-        table = scan([n], table)
-        if not alive.any():
-            if uncertain[i + 1:]:  # the tail's reach stays zero
-                table = scan(uncertain[i + 1:], table)
+        tail = not alive.any()  # then n's pairs and every later one are drawn now
+        nodes = uncertain[i:] if tail else (n,)
+        pairs = lo + np.flatnonzero(best_arm[lo:dag.total_rows if tail else hi] >= 0)
+        # pair i's batch is the per_pair draws from i * per_pair
+        pulled = arms.take(best_arm[pairs])
+        omega = env.intervene_many(pulled, len(pairs) * per_pair)
+        draw_arms = pulled.matrix.repeat(per_pair, axis=0)
+        shared += fold_counts(dag, draw_arms, omega)
+        pair = pairs.repeat(per_pair)  # each draw's pair, and its node
+        node, draws = row_node[pair], np.arange(len(pair))
+        key = np.einsum("dn,dn->d", omega, dag.row_keys.T[node]) + dag.row_offsets[node]
+        hit = (key == pair) & (draw_arms[draws, node] == FREE)
+        own += np.bincount(2 * pair[hit] + omega[draws[hit], node[hit]],
+                           minlength=2 * dag.total_rows).reshape(-1, 2)
+        counts = own[pairs]
+        est = rate_estimates(counts.sum(axis=1), counts[:, 1])
+        if trunc_scale > 0:
+            unreliable[pairs] = est * best_value[pairs][:, None] <= 2.0 * math.e * threshold
+        table = table.with_nodes(nodes, np.where(unreliable[pairs], 0.0, est))
+        if tail:
             break
 
     rare = np.zeros_like(unreliable)
     if trunc_scale > 0:
-        rare_cut = 8.0 * math.e * total_rows ** 2 * threshold
+        rare_cut = 8.0 * math.e * pair_count ** 2 * threshold
         rare[(best_arm >= 0) & (best_value <= rare_cut)] = True  # uncertain nodes' rows
 
     return Phase1Result(
@@ -202,5 +196,5 @@ def run_phase1(env: SimulatedEnvironment, dag: CausalDag, arms: InterventionSet,
         per_pair=per_pair,
         threshold=threshold,
         uncertain_nodes=uncertain,
-        uncertain_rows=total_rows,
+        uncertain_rows=pair_count,
     )

@@ -21,7 +21,9 @@ value over every arm, run as usual and are listed in `RegretReport.warnings`.
 """
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import math
 import os
 import time
@@ -251,19 +253,21 @@ class RegretReport:
     CSV_HEADER = "instance,strategy,budget,horizon,trials,mean_regret,std_err,runtime_ms"
 
     def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(f"{r.instance},{r.strategy},{r.budget},{r.horizon},"
-                         f"{r.trials},{r.mean_regret:.10g},{r.std_err:.10g},"
-                         f"{r.runtime_ms:.10g}")
-        return "\n".join(lines) + "\n"
+        """The header and a line per row; a field with a comma or a quote,
+        such as a label taken from a file name, is quoted."""
+        out = io.StringIO()
+        out.write(self.CSV_HEADER + "\n")
+        csv.writer(out, lineterminator="\n").writerows(
+            (r.instance, r.strategy, r.budget, r.horizon, r.trials, f"{r.mean_regret:.10g}",
+             f"{r.std_err:.10g}", f"{r.runtime_ms:.10g}") for r in self.rows)
+        return out.getvalue()
 
 
 def _run_trial(strategy: str, instance: Instance, horizon: int, env_seed: int,
-               draw_seed: int, elapsed: list | None = None, flat: list | None = None) -> float:
-    """One trial's regret. The strategy's wall time in ms, without the regret
-    scoring, goes to `elapsed`, and for a proposed strategy whether its
-    estimates are one value over every arm to `flat`, when they are given."""
+               draw_seed: int) -> tuple[float, float, bool]:
+    """One trial's regret, the strategy's wall time in ms without the regret
+    scoring, and whether a proposed strategy's estimates are one value over
+    every arm (always False for a baseline)."""
     start = time.perf_counter()
     env = SimulatedEnvironment(instance, env_seed, max_experiments=horizon)
     if strategy in PROPOSED:
@@ -271,15 +275,13 @@ def _run_trial(strategy: str, instance: Instance, horizon: int, env_seed: int,
         rng = np.random.default_rng(draw_seed)
         result = run_causal_bandit(env, instance.dag, instance.arms, horizon,
                                    mode, rng)
-        if flat is not None:
-            flat.append(bool((result.mu_hat == result.mu_hat[0]).all()))
     elif strategy == "successive-rejects":
         result = run_successive_rejects(env, instance.dag, instance.arms, horizon)
     else:
         result = run_uniform_baseline(env, instance.dag, instance.arms, horizon)
-    if elapsed is not None:
-        elapsed.append((time.perf_counter() - start) * 1000.0)
-    return simple_regret(instance, [result.chosen])
+    flat = strategy in PROPOSED and bool((result.mu_hat == result.mu_hat[0]).all())
+    ms = (time.perf_counter() - start) * 1000.0
+    return simple_regret(instance, [result.chosen]), ms, flat
 
 
 def _draw_instances(config: ExperimentConfig, dag: CausalDag, arms: InterventionSet,
@@ -298,18 +300,14 @@ def _run_cell(payload):
     if isinstance(instances, (ParameterError, CapacityError)):
         return CellFailure(budget, multiplier, strategy, str(instances)), []
     horizon = multiplier * uncertain_rows(instances[0].dag, instances[0].arms)
-    strategy_id = STRATEGIES.index(strategy)
-    regrets, elapsed, flat = [], [], []
+    cell = (config.seed, budget, multiplier, STRATEGIES.index(strategy))
     try:
-        for trial, instance in enumerate(instances):
-            env_seed = mix_seed(_ENV_TAG, config.seed, budget, multiplier,
-                                strategy_id, trial)
-            draw_seed = mix_seed(_DRAW_TAG, config.seed, budget, multiplier,
-                                 strategy_id, trial)
-            regrets.append(_run_trial(strategy, instance, horizon, env_seed, draw_seed,
-                                      elapsed, flat))
+        trials = [_run_trial(strategy, instance, horizon, mix_seed(_ENV_TAG, *cell, t),
+                             mix_seed(_DRAW_TAG, *cell, t))
+                  for t, instance in enumerate(instances)]
     except (BudgetError, ParameterError, CapacityError) as err:
         return CellFailure(budget, multiplier, strategy, str(err)), []
+    regrets, elapsed, flat = zip(*trials)
     vals = np.asarray(regrets)
     std_err = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
     runtime = float(np.mean(elapsed)) if config.timing else 0.0
@@ -333,6 +331,8 @@ def run_sweep(config: ExperimentConfig) -> RegretReport:
     except ValueError:
         raise ParameterError(
             f"CAUSALBANDIT_WORKERS expects an integer, got {text!r}") from None
+    if workers < 1:
+        raise ParameterError(f"CAUSALBANDIT_WORKERS must be at least 1, got {workers}")
     label, dag, targets = load_structure(config)
     instances = {}
     for budget in config.budgets:

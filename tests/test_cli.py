@@ -1,4 +1,6 @@
 """Command-line interface: subcommand output, exit codes, file handling."""
+import csv
+import io
 import os
 import pathlib
 import resource
@@ -223,6 +225,28 @@ def test_run_rejects_non_integer_worker_count(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "error: CAUSALBANDIT_WORKERS expects an integer, got 'two'\n"
+
+
+@pytest.mark.parametrize("text", ["0", "-2"])
+def test_run_rejects_a_worker_count_below_one(text, capsys, monkeypatch):
+    monkeypatch.setenv("CAUSALBANDIT_WORKERS", text)
+    code, out, err = run_cli(["run", "--set", "tree_height=2", "--set", "budgets=1",
+                              "--set", "strategies=uniform"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: CAUSALBANDIT_WORKERS must be at least 1, got {text}\n"
+
+
+def test_run_quotes_a_label_with_a_comma(tmp_path, capsys):
+    bundled = pathlib.Path(causalbandit.__file__).parent / "data" / "water.bif"
+    path = tmp_path / "a,b.bif"
+    path.write_text(bundled.read_text(encoding="utf-8"), encoding="utf-8")
+    code, out, _ = run_cli(["run", "--set", "source=bif", "--set", f"bif={path}",
+                            "--set", "strategies=uniform"], capsys)
+    assert code == 0
+    header, row = csv.reader(io.StringIO(out))
+    assert len(header) == len(row) == 8
+    assert row[:2] == ["a,b", "uniform"]
 
 
 def test_run_reports_failed_cells_on_stderr(capsys):

@@ -12,8 +12,10 @@ truncates every pair on these instances, so the CSVs never reach a solve with
 terms). `golden_gamma_solver.json` pins the allocation solver bit for bit at
 the benchmark's scale: the exact value and gap, the iteration count and a
 hash of the weights' bytes, as `json.dumps(solver_outputs(), indent=1)` wrote
-them. Replace a stored file only in a change that shows and explains the
-diff.
+them. The `golden_run_*` pairs are the standard output and standard error
+of the `run` grids below, budgets 2, 4 and 8 at multipliers 3, 6 and 9 with
+every strategy, one process: the CSV and the warning lines of each cell.
+Replace a stored file only in a change that shows and explains the diff.
 """
 import hashlib
 import json
@@ -88,6 +90,27 @@ def test_command_output_matches_stored_text(name, capsys):
     assert main(COMMANDS[name]) == 0
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == (want, "")
+
+
+GRID = ["--set", "budgets=2,4,8", "--set", "multipliers=3,6,9", "--set", "trials=3",
+        "--set", "seed=7",
+        "--set", "strategies=proposed-paper,proposed-practical,uniform,successive-rejects"]
+
+RUN_GRIDS = {
+    "golden_run_tree_h4": ["--set", "source=tree", "--set", "tree_height=4"],
+    "golden_run_water": ["--set", "source=bif", "--set", "bif=water"],
+    "golden_run_alarm": ["--set", "source=bif", "--set", "bif=alarm"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUN_GRIDS))
+def test_run_grid_matches_stored_csv_and_warnings(name, capsys, monkeypatch):
+    monkeypatch.setenv("CAUSALBANDIT_WORKERS", "1")
+    want = ((DATA / f"{name}.csv").read_text(encoding="utf-8"),
+            (DATA / f"{name}_stderr.txt").read_text(encoding="utf-8"))
+    assert main(["run", *RUN_GRIDS[name], *GRID]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == want
 
 
 PAPER_CASES = {

@@ -362,7 +362,7 @@ def test_degenerate_instance_gives_zero_regret_rows():
                                     dtype=np.int8))
     instance = Instance(dag, table, arms)
     for trial in range(3):
-        regret = _run_trial("uniform", instance, 30, trial, trial)
+        regret = _run_trial("uniform", instance, 30, trial, trial)[0]
         assert regret == 0.0
 
 
