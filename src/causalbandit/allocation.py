@@ -194,7 +194,7 @@ def build_exact_objective(instance: Instance) -> tuple[RatioObjective, np.ndarra
     dag, arms = instance.dag, instance.arms
     rows = []
     best = []
-    for n in instance.uncertain_nodes:
+    for n in arms.uncertain_nodes:
         # zero where the arm fixes n, so the objective's cutoff leaves
         # exactly the arms that free n
         reach = parent_probabilities(instance.table, dag, n, arms)

@@ -90,7 +90,7 @@ def _source_flags() -> argparse.ArgumentParser:
     group = flags.add_mutually_exclusive_group()
     group.add_argument("--tree-height", type=int, default=4,
                        help="height of the synthetic complete binary tree")
-    group.add_argument("--bif", help="network file path or bundled name "
+    group.add_argument("--bif", help="network file path, else bundled name "
                                      "(alarm, water)")
     return flags
 

@@ -81,7 +81,6 @@ from .model import (
     InterventionSet,
     ParentRealization,
     arm_matrix,
-    as_rng,
 )
 
 FRONTIER_LIMIT = 20
@@ -409,7 +408,7 @@ def sample_batch(table: ConditionalTable, dag: CausalDag, arm_values, count: int
             raise ParameterError("sizes must be one nonnegative int per arm, summing to count")
         cuts = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(sizes)]
         runs = [(lo, hi, int(sizes[lo])) for lo, hi in zip(cuts, cuts[1:])]
-    rng, n_nodes = as_rng(rng), dag.node_count
+    rng, n_nodes = np.random.default_rng(rng), dag.node_count
     clamps = np.where(values == 1, -1.0, 2.0).T[order]  # (row, arm) sentinels
     v, at = np.zeros((n_nodes + 1, count)), 0  # (row, draw); row N stays 0
     for lo, hi, size in runs:  # (row, batch, draw) views: only the draw axis is split
@@ -438,7 +437,7 @@ class SimulatedEnvironment:
 
     def __init__(self, instance: Instance, rng, max_experiments: int | None = None):
         self._instance = instance
-        self._rng = as_rng(rng)
+        self._rng = np.random.default_rng(rng)
         self._used = 0
         self._max = max_experiments
 

@@ -1,10 +1,12 @@
 """Binary causal DAGs, conditional tables, hard interventions, and instance builders.
 
 Node indices are topological: every parent index is strictly smaller than its
-child's index, and the last node is the reward node. A parent realization over
-a sorted scope is packed into a row index with the lowest-numbered node as the
-most significant bit, so ascending row index enumerates realizations in
-lexicographic bit order.
+child's index, and the last node is the reward node. A parent realization is
+packed into a row index with the first listed parent as the most significant
+bit, so ascending row index enumerates realizations in lexicographic bit
+order. Parent tuples are kept in the order given, sorted or not, and every
+layer reads them in that order; for a sorted tuple the most significant bit
+is the lowest-numbered parent.
 """
 from __future__ import annotations
 
@@ -23,13 +25,6 @@ FREE = -1  # "not intervened" entry of an intervention vector
 # nodes) still builds. A graph with more nodes than this has no room for one arm.
 # Phase 1's float64 (arm, table row) reach cells are held to it too.
 ARM_CELL_LIMIT = 10**8
-
-
-def as_rng(seed_or_rng) -> np.random.Generator:
-    """Accept either an integer seed or an already-built generator."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -119,7 +114,8 @@ class CausalDag:
 
 @dataclass(frozen=True)
 class ParentRealization:
-    """Bit assignment over a sorted node scope (a parent set)."""
+    """Bit assignment over a node scope (a parent set) in its listed order,
+    sorted or not: the first scope entry is the index's most significant bit."""
 
     scope: tuple[int, ...]
     bits: tuple[int, ...]
@@ -171,25 +167,13 @@ class ConditionalTable:
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(_frozen_rows(r) for r in self.rows))
 
-    def with_nodes(self, nodes, rows) -> "ConditionalTable":
-        """This table with the rows of `nodes` replaced by a read-only copy of
-        `rows`, theirs stacked in that order. The other nodes' read-only
-        arrays are shared, and `stochastic` is checked again at `nodes` alone."""
-        frozen = _frozen_rows(rows)
-        ok = _sums_to_one(frozen)
-        new, stochastic, at = list(self.rows), self.stochastic.copy(), 0
-        for n in nodes:
-            end = at + len(new[n])
-            new[n], stochastic[n], at = frozen[at:end], ok[at:end].all(), end
-        table = self._trusted(tuple(new))
-        table.__dict__["stochastic"] = stochastic
-        return table
-
     @classmethod
-    def _trusted(cls, rows: tuple[np.ndarray, ...]) -> "ConditionalTable":
-        """A table over read-only float64 (rows, 2) arrays, neither checked nor copied."""
+    def _from_flat(cls, dag: CausalDag, flat: np.ndarray) -> "ConditionalTable":
+        """A table over `dag.split_rows` views of one float64 (total rows, 2)
+        array, laid out as `CausalDag.row_offsets`, which is made read-only
+        and neither checked nor copied."""
         table = object.__new__(cls)
-        object.__setattr__(table, "rows", rows)
+        object.__setattr__(table, "rows", dag.split_rows(_read_only(flat)))
         return table
 
     @cached_property
@@ -298,10 +282,6 @@ class Instance:
     arms: InterventionSet
 
     @property
-    def uncertain_nodes(self) -> tuple[int, ...]:
-        return self.arms.uncertain_nodes
-
-    @property
     def uncertain_rows(self) -> int:
         """The budget unit C; see `uncertain_rows`."""
         return uncertain_rows(self.dag, self.arms)
@@ -368,8 +348,8 @@ def validate(dag: CausalDag, table: ConditionalTable | None = None,
 def random_conditional_table(dag: CausalDag, rng_seed) -> ConditionalTable:
     """Uniform random table: each row's success probability is an independent U[0,1],
     drawn in node order by one call; the rows are read-only views of one array."""
-    p1 = as_rng(rng_seed).random(dag.total_rows)
-    return ConditionalTable._trusted(dag.split_rows(_read_only(np.stack([1.0 - p1, p1], axis=1))))
+    p1 = np.random.default_rng(rng_seed).random(dag.total_rows)
+    return ConditionalTable._from_flat(dag, np.stack([1.0 - p1, p1], axis=1))
 
 
 def make_binary_tree_dag(height: int, budgets=()) -> CausalDag:
@@ -404,7 +384,7 @@ def check_binary_tree(height: int, budgets=()) -> int:
         if min(b, leaves - b) > 64:  # at least C(130, 65) > 10^37 arms, too slow to count
             raise CapacityError(f"C({leaves}, {b}) arms exceed the arm cell limit "
                                 f"{ARM_CELL_LIMIT}")
-        check_arm_cells(math.comb(leaves, b), nodes)
+        subset_arm_count(nodes, leaves, b, b)
     return leaves
 
 

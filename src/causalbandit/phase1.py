@@ -16,7 +16,10 @@ the pair's node counts for nothing there. `rate_estimates`, the rule both
 phases use, reads the rates off the counts. Rates whose (rate x best reach)
 product falls under the truncation threshold are marked unreliable and zeroed
 in the returned table; pairs whose best reach itself is tiny are marked rare
-and only excluded later, at final-estimate time.
+and only excluded later, at final-estimate time. The trimmed estimate is kept
+in the same flat row layout as the counts, and each step writes its pairs'
+rows there. Each parent query reads a read-only copy of it, and the returned
+table is built over that array itself.
 
 Once every arm's prefix mass is exactly zero, the later nodes' queries are
 skipped and they keep their zero `reach` (argmax arm 0, max 0), as the
@@ -132,9 +135,9 @@ def run_phase1(env: SimulatedEnvironment, dag: CausalDag, arms: InterventionSet,
 
     check_arm_cells(len(arms), dag.total_rows, "rows")  # the reach matrices
     rows = [dag.row_count(n) for n in range(dag.node_count)]
-    table = ConditionalTable(tuple(np.zeros((r, 2)) for r in rows))
-    # the per-pair arrays are laid out as `fold_counts`' rows
-    own = np.zeros((dag.total_rows, 2), dtype=np.int64)  # each pair's row of its own batch
+    # the per-pair arrays, the trimmed estimate among them, are laid out as `fold_counts`' rows
+    trimmed = np.zeros((dag.total_rows, 2))
+    own = np.zeros_like(trimmed, dtype=np.int64)  # each pair's row of its own batch
     shared = np.zeros_like(own)
     unreliable = np.zeros(own.shape, dtype=bool)
     row_node = np.repeat(np.arange(dag.node_count), rows)
@@ -145,16 +148,16 @@ def run_phase1(env: SimulatedEnvironment, dag: CausalDag, arms: InterventionSet,
 
     exact_zeros = dag.node_count * math.log2(horizon) < 1000  # see the module docstring
     alive = np.ones(len(arms), dtype=bool)  # arms whose prefix mass may be nonzero
-    for i, n in enumerate(uncertain):
+    for n in uncertain:
         # the query reads only nodes before n, so one per node serves every row
-        reach[n] = parent_probabilities(table, dag, n, arms)
+        reach[n] = parent_probabilities(ConditionalTable._from_flat(dag, trimmed.copy()),
+                                        dag, n, arms)
         lo, hi = dag.row_offsets[n], dag.row_offsets[n + 1]
         best_arm[lo:hi] = np.argmax(reach[n], axis=0)
         best_value[lo:hi] = reach[n].max(axis=0)
         if exact_zeros:
             alive &= (arms.matrix[:, n] != FREE) | reach[n].any(axis=1)
         tail = not alive.any()  # then n's pairs and every later one are drawn now
-        nodes = uncertain[i:] if tail else (n,)
         pairs = lo + np.flatnonzero(best_arm[lo:dag.total_rows if tail else hi] >= 0)
         # pair i's batch is the per_pair draws from i * per_pair
         pulled = arms.take(best_arm[pairs])
@@ -171,7 +174,7 @@ def run_phase1(env: SimulatedEnvironment, dag: CausalDag, arms: InterventionSet,
         est = rate_estimates(counts.sum(axis=1), counts[:, 1])
         if trunc_scale > 0:
             unreliable[pairs] = est * best_value[pairs][:, None] <= 2.0 * math.e * threshold
-        table = table.with_nodes(nodes, np.where(unreliable[pairs], 0.0, est))
+        trimmed[pairs] = np.where(unreliable[pairs], 0.0, est)
         if tail:
             break
 
@@ -183,7 +186,7 @@ def run_phase1(env: SimulatedEnvironment, dag: CausalDag, arms: InterventionSet,
     return Phase1Result(
         dag=dag,
         arms=arms,
-        trimmed=table,
+        trimmed=ConditionalTable._from_flat(dag, trimmed),
         truncation=TruncationSets(dag.split_rows(unreliable), dag.split_rows(rare)),
         seen=dag.split_rows(own.sum(axis=1)),
         seen_one=dag.split_rows(own[:, 1]),

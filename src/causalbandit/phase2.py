@@ -23,7 +23,7 @@ from .errors import ParameterError
 from .inference import SimulatedEnvironment
 # unused here; perfbench/tracer.py's TRACE_POINTS looks it up
 from .inference import parent_probabilities  # noqa: F401
-from .model import ConditionalTable, as_rng
+from .model import ConditionalTable
 from .phase1 import Phase1Result, fold_counts, rate_estimates
 
 WEIGHT_CLIP = 1e-12
@@ -58,7 +58,7 @@ def run_phase2(env: SimulatedEnvironment, phase1: Phase1Result, mode: str, rng) 
     if mode not in ("paper", "practical"):
         raise ParameterError(f"mode must be 'paper' or 'practical', got {mode!r}")
     dag, arms = phase1.dag, phase1.arms
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
 
     # each pair's best arm: the replay's batches and practical mode's votes
     best_arms = np.concatenate([phase1.best_arm[n] for n in phase1.uncertain_nodes])

@@ -187,7 +187,7 @@ def load_structure(config: ExperimentConfig) -> tuple[str, CausalDag, tuple[int,
         leaves = check_binary_tree(config.tree_height, config.budgets)  # on every config
         return f"tree-h{config.tree_height}", _tree_dag(config.tree_height), tuple(range(leaves))
     name = config.bif
-    if os.path.exists(name):  # a file may change, so it is read on every call
+    if os.path.isfile(name):  # a file may change, so it is read on every call
         with open(name, encoding="utf-8") as handle:
             dag, _ = to_causal_dag(parse_bif(handle.read()))
         label = os.path.splitext(os.path.basename(name))[0]

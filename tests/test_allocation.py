@@ -223,7 +223,7 @@ def test_complexity_single_arm_exact():
     for _ in range(10):
         n = int(rng.integers(3, 7))
         inst0 = random_instance(rng, n_nodes=n, n_arms=1)
-        if not inst0.uncertain_nodes:
+        if not inst0.arms.uncertain_nodes:
             continue
         res = allocation_complexity(inst0)
         expect = int((inst0.arms.matrix[0] == FREE).sum())

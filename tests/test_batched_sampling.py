@@ -23,7 +23,6 @@ from causalbandit.model import (
     ConditionalTable,
     Instance,
     InterventionSet,
-    as_rng,
     enumerate_budget_interventions,
     enumerate_root_interventions,
     make_binary_tree_dag,
@@ -36,7 +35,7 @@ from test_parent_marginals import networks
 def reference_sample_batch(table, dag, arm_values, count, rng):
     """The sampler as it was before it drew a topological level per step: one
     node per step, by the same stream rule."""
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     values = np.asarray(arm_values, dtype=np.int8).reshape(-1, dag.node_count)
     sizes = even_split(count, values.shape[0])
     batch = np.repeat(np.arange(values.shape[0]), sizes)
@@ -264,23 +263,24 @@ def test_sampler_matches_the_reference_at_the_edges(name):
         assert_matches_the_reference(table, dag, arm_values, count, count)
 
 
-def test_a_table_made_by_with_node_gets_its_own_thresholds():
+def test_a_table_over_a_flat_array_samples_as_a_checked_table():
     dag = structure("alarm")
-    table = random_conditional_table(dag, 5)
-    arms = np.full((3, dag.node_count), FREE, dtype=np.int8)
-    before = table.thresholds.copy()  # cached on the old table first
+    flat = np.concatenate(random_conditional_table(dag, 5).rows)  # a new, writable array
     n = dag.node_count - 1
-    rows = np.column_stack([np.ones(dag.row_count(n)), np.zeros(dag.row_count(n))])
-    changed = table.with_nodes([n], rows)
-    fresh = ConditionalTable(table.rows[:n] + (rows,))
-    assert changed.thresholds is not table.thresholds
-    assert np.array_equal(changed.thresholds, fresh.thresholds)
-    assert np.array_equal(table.thresholds, before)
-    got = sample_batch(changed, dag, arms, 40, 6)
-    assert np.array_equal(got, sample_batch(fresh, dag, arms, 40, 6))
-    assert not got[:, n].any()  # the new rows never draw a 1
-    assert np.array_equal(sample_batch(table, dag, arms, 40, 6),
-                          reference_sample_batch(table, dag, arms, 40, 6))
+    flat[dag.row_offsets[n]:] = [1.0, 0.0]
+    flat[dag.row_offsets[3]] = 0.0  # a zeroed row
+    flat[dag.row_offsets[4]] *= 0.5  # a sub-stochastic row
+    checked = ConditionalTable(dag.split_rows(flat))
+    table = ConditionalTable._from_flat(dag, flat)
+    assert np.array_equal(table.thresholds, checked.thresholds)
+    assert np.array_equal(table.stochastic, checked.stochastic)
+    assert not table.stochastic[[3, 4]].any() and table.stochastic[n]
+    assert not flat.flags.writeable and all(r.base is flat for r in table.rows)
+    arms = np.full((3, dag.node_count), FREE, dtype=np.int8)
+    got = sample_batch(table, dag, arms, 40, 6)
+    assert np.array_equal(got, sample_batch(checked, dag, arms, 40, 6))
+    assert np.array_equal(got, reference_sample_batch(checked, dag, arms, 40, 6))
+    assert not got[:, n].any()  # the last node's rows never draw a 1
 
 
 def test_two_dags_never_share_a_level_plan():

@@ -13,6 +13,7 @@ import pytest
 import causalbandit
 from causalbandit import sweep
 from causalbandit.cli import main
+from causalbandit.model import uncertain_rows
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -53,6 +54,42 @@ def test_gen_counts_the_arms_without_building_them(capsys):
     assert code == 0
     assert out.endswith("N=127\nC=252\n|A|=635376\nb=4: |A|=635376\n")
     assert peak < 635376 * 127 // 100
+
+
+GEN_SOURCES = [["--tree-height", str(h)] for h in (1, 2, 3, 4)] + [
+    ["--bif", "alarm"], ["--bif", "water"], ["--bif", str(FIXTURES / "chain.bif")]]
+
+
+@pytest.mark.parametrize("source", GEN_SOURCES, ids=[*(f"tree-h{h}" for h in (1, 2, 3, 4)),
+                                                     "alarm", "water", "chain.bif"])
+def test_gen_counts_match_the_built_arm_sets(source, capsys):
+    """`gen` counts C and |A| in closed form; both equal those of the arm
+    sets `build_arms` makes, at every budget up to 4 (chain.bif has one root)."""
+    config = (sweep.ExperimentConfig(source="tree", tree_height=int(source[1]))
+              if source[0] == "--tree-height" else
+              sweep.ExperimentConfig(source="bif", bif=source[1]))
+    _, dag, targets = sweep.load_structure(config)
+    budgets = range(1, min(4, len(targets)) + 1)
+    code, out, _ = run_cli(["gen", *source, "--budgets", ",".join(map(str, budgets))], capsys)
+    assert code == 0
+    built = [sweep.build_arms(config, dag, targets, b) for b in budgets]
+    lines = out.splitlines()
+    assert lines[2:] == [f"C={uncertain_rows(dag, built[0])}",
+                         "|A|=" + "/".join(str(len(arms)) for arms in built)] + [
+        f"b={b}: |A|={len(arms)}" for b, arms in zip(budgets, built)]
+    assert all(uncertain_rows(dag, arms) == uncertain_rows(dag, built[0]) for arms in built)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--bif", "water", "--budgets", "2"],
+    ["run", "--set", "source=bif", "--set", "bif=water", "--set", "strategies=uniform"]],
+    ids=["gen", "run"])
+def test_a_directory_does_not_hide_a_bundled_network(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    want = run_cli(argv, capsys)
+    (tmp_path / "water").mkdir()
+    assert run_cli(argv, capsys) == want
+    assert want[0] == 0 and want[2] == "" and "water" in want[1]
 
 
 def test_gen_rejects_bad_budget_list(capsys):

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 from causalbandit import model
 from causalbandit.bif import load_bundled, to_causal_dag
 from causalbandit.errors import CapacityError, ParameterError
-from causalbandit.inference import target_probabilities, target_probability
+from causalbandit.inference import (
+    brute_force_parent_probability,
+    parent_probabilities,
+    sample_batch,
+    target_probabilities,
+    target_probability,
+)
 from causalbandit.model import (
     ARM_CELL_LIMIT,
     FREE,
@@ -20,7 +26,6 @@ from causalbandit.model import (
     Intervention,
     InterventionSet,
     ParentRealization,
-    as_rng,
     enumerate_budget_interventions,
     enumerate_root_interventions,
     make_binary_tree_dag,
@@ -29,6 +34,7 @@ from causalbandit.model import (
     soft_to_hard_reduction,
     validate,
 )
+from causalbandit.phase1 import fold_counts
 from conftest import brute_joint, random_dag, success_table
 from test_parent_marginals import networks
 
@@ -57,21 +63,46 @@ def test_validate_accepts_unsorted_parents_and_flags_duplicates():
     assert report.violations == ["node 2: duplicate parent in (1, 1)"]
 
 
-def test_with_node_matches_a_fresh_table():
+def test_an_unsorted_parent_tuple_reads_its_first_parent_as_the_high_bit():
+    """Node 2 lists its parents as (1, 0), so its row 2 is node 1 = 1 and
+    node 0 = 0 in the parent query, its oracle, the sampler and the fold."""
+    dag = CausalDag(((), (), (1, 0), (2,)))
+    table = success_table([[0.2], [0.7], [0.0, 0.0, 1.0, 0.0], [0.4, 0.6]])
+    arms = InterventionSet([[FREE] * 4, [1, FREE, FREE, FREE], [FREE, 0, FREE, FREE],
+                            [FREE, FREE, 1, FREE]])
+    for n in (2, 3):
+        got = parent_probabilities(table, dag, n, arms)
+        for arm, row in zip(arms, got, strict=True):
+            want = [brute_force_parent_probability(
+                table, dag, n, ParentRealization.from_index(dag.parents[n], r), arm)
+                for r in range(dag.row_count(n))]
+            assert row == pytest.approx(want, abs=1e-12)
+    assert parent_probabilities(table, dag, 2, arms)[0] == pytest.approx(
+        [0.3 * 0.8, 0.3 * 0.2, 0.7 * 0.8, 0.7 * 0.2])
+    omega = sample_batch(table, dag, arms.matrix[0], 200, 1)
+    assert np.array_equal(omega[:, 2], (omega[:, 1] == 1) & (omega[:, 0] == 0))
+    counts = fold_counts(dag, arms.matrix[0], np.array([[0, 1, 1, 0]], dtype=np.int8))
+    assert counts[dag.row_offsets[2] + 2].tolist() == [0, 1]
+    assert counts[dag.row_offsets[3] + 1].tolist() == [1, 0]
+
+
+def test_from_flat_matches_a_checked_table():
+    """A table over one flat array with a zeroed node and a sub-stochastic row
+    has the rows, `stochastic` and `thresholds` of a checked table over the
+    same rows, and holds that array read-only, uncopied."""
     dag = random_dag(np.random.default_rng(3), 6)
-    table = random_conditional_table(dag, 4)
-    for n, rows in [(2, np.full((dag.row_count(2), 2), 0.25)),
-                    (5, np.tile([0.3, 0.7], (dag.row_count(5), 1)))]:
-        changed = table.with_nodes([n], rows)
-        fresh = ConditionalTable(table.rows[:n] + (rows,) + table.rows[n + 1:])
-        assert all(np.array_equal(a, b) for a, b in zip(changed.rows, fresh.rows))
-        assert np.array_equal(changed.stochastic, fresh.stochastic)
-        assert changed.stochastic is not table.stochastic
-        assert not any(r.flags.writeable for r in changed.rows)
-        rows[:] = 0.0  # the caller's array is copied, not shared
-        assert changed.rows[n].sum() == fresh.rows[n].sum() > 0
-        table = changed
-    assert not table.stochastic[2] and table.stochastic[5]
+    p1 = np.random.default_rng(4).random(dag.total_rows)
+    flat = np.stack([1.0 - p1, p1], axis=1)
+    flat[dag.row_offsets[2]:dag.row_offsets[3]] = 0.0
+    flat[dag.row_offsets[5]] *= 0.5
+    checked = ConditionalTable(dag.split_rows(flat))
+    table = ConditionalTable._from_flat(dag, flat)
+    assert all(np.array_equal(a, b) for a, b in zip(table.rows, checked.rows, strict=True))
+    assert np.array_equal(table.stochastic, checked.stochastic)
+    assert table.stochastic.tolist() == [n not in (2, 5) for n in range(6)]
+    assert np.array_equal(table.thresholds, checked.thresholds)
+    assert not flat.flags.writeable
+    assert all(r.base is flat and not r.flags.writeable for r in table.rows)
 
 
 def test_validate_flags_complement_sum():
@@ -112,7 +143,7 @@ def test_tree_height4_structure():
     assert inst.dag.total_rows == 76
     assert len(inst.arms) == 120
     # leaves are fixed by every arm, internal nodes never are
-    assert inst.uncertain_nodes == tuple(range(16, 31))
+    assert inst.arms.uncertain_nodes == tuple(range(16, 31))
 
 
 @pytest.mark.parametrize("budget,count", [(2, 120), (4, 1820), (8, 12870)])
@@ -149,7 +180,7 @@ def test_random_table_deterministic_and_complementary():
 def reference_random_conditional_table(dag, rng_seed):
     """The table as it was drawn before one call drew every row: one call per
     node, in node order, each row stacked and copied on its own."""
-    rng = as_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)
     return success_table(
         [rng.random(dag.row_count(n)) for n in range(dag.node_count)])
 

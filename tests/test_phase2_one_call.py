@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from causalbandit.allocation import minimize, vote_share
 from causalbandit.inference import SimulatedEnvironment
-from causalbandit.model import ConditionalTable, Instance, as_rng
+from causalbandit.model import ConditionalTable, Instance
 from causalbandit.phase1 import fold_counts, rate_estimates, run_phase1
 from causalbandit.phase2 import WEIGHT_CLIP, build_allocation_objective, run_phase2
 from test_parent_marginals import networks
@@ -21,7 +21,7 @@ def reference_run_phase2(env, phase1, mode, rng):
     """`run_phase2` as it was with one sampler call per picked arm; returns
     the result's fields and the pick counts."""
     dag, arms = phase1.dag, phase1.arms
-    rng = as_rng(rng)
+    rng = np.random.default_rng(rng)
     if mode == "paper":
         weights = minimize(build_allocation_objective(phase1)).weights.copy()
     else:
