@@ -104,8 +104,7 @@ class CausalDag:
 
     def split_rows(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
         """Per-node views of an array laid out in the flat count space."""
-        bounds = self.row_offsets.tolist()
-        return tuple(flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+        return _split(flat, self.row_offsets)
 
     @cached_property
     def roots(self) -> tuple[int, ...]:
@@ -143,15 +142,21 @@ class ParentRealization:
         return idx
 
 
-def _frozen_rows(rows) -> np.ndarray:
-    arr = np.array(rows, dtype=np.float64)
+def _checked_rows(rows) -> np.ndarray:
+    arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ParameterError("each table must have shape (2^k, 2)")
-    return _read_only(arr)
+    return arr
+
+
+def _split(flat: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views of `flat`, block n at [bounds[n], bounds[n + 1])."""
+    bounds = bounds.tolist()
+    return tuple(flat[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
 
 
 def _sums_to_one(rows: np.ndarray) -> np.ndarray:
-    return np.abs(rows.sum(axis=1) - 1.0) <= 1e-9
+    return np.abs(rows[:, 0] + rows[:, 1] - 1.0) <= 1e-9
 
 
 @dataclass(frozen=True)
@@ -159,33 +164,43 @@ class ConditionalTable:
     """Per-node conditional probabilities: rows[n][i, v] = P(node n = v | parents = i).
 
     Estimated tables may be sub-stochastic (a row pair may sum to less than 1);
-    true tables always have complementary pairs.
+    true tables always have complementary pairs. Every table, however made,
+    holds its rows as read-only views of one float64 (total rows, 2) array,
+    node after node, and reads `stochastic` and `thresholds` off that array.
     """
 
     rows: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(_frozen_rows(r) for r in self.rows))
+        rows = [_checked_rows(r) for r in self.rows]
+        self._hold(np.concatenate(rows or [np.empty((0, 2))]),
+                   np.cumsum([0] + [len(r) for r in rows]))
 
     @classmethod
     def _from_flat(cls, dag: CausalDag, flat: np.ndarray) -> "ConditionalTable":
-        """A table over `dag.split_rows` views of one float64 (total rows, 2)
-        array, laid out as `CausalDag.row_offsets`, which is made read-only
-        and neither checked nor copied."""
+        """A table over one float64 (total rows, 2) array, laid out as
+        `CausalDag.row_offsets`, which is made read-only and neither checked
+        nor copied."""
         table = object.__new__(cls)
-        object.__setattr__(table, "rows", dag.split_rows(_read_only(flat)))
+        table._hold(flat, dag.row_offsets)
         return table
+
+    def _hold(self, flat: np.ndarray, bounds: np.ndarray) -> None:
+        """Keep `flat`, read-only, with node n's rows at [bounds[n], bounds[n + 1])."""
+        object.__setattr__(self, "_flat", _read_only(flat))
+        object.__setattr__(self, "_starts", bounds[:-1])
+        object.__setattr__(self, "rows", _split(flat, bounds))
 
     @cached_property
     def stochastic(self) -> np.ndarray:
         """Per node, whether every row sums to 1 within 1e-9."""
-        ok = _sums_to_one(np.concatenate(self.rows))
-        return np.logical_and.reduceat(ok, np.cumsum([0] + [len(r) for r in self.rows[:-1]]))
+        return np.logical_and.reduceat(_sums_to_one(self._flat), self._starts)
 
     @cached_property
     def thresholds(self) -> np.ndarray:
-        """P(node = 1 | parent row) of every row, laid out as `CausalDag.row_offsets`."""
-        return np.concatenate([r[:, 1] for r in self.rows])
+        """P(node = 1 | parent row) of every row, laid out as `CausalDag.row_offsets`;
+        contiguous, since the sampler takes from it."""
+        return np.ascontiguousarray(self._flat[:, 1])
 
 
 def arm_matrix(values) -> np.ndarray:

@@ -105,6 +105,27 @@ def test_from_flat_matches_a_checked_table():
     assert all(r.base is flat and not r.flags.writeable for r in table.rows)
 
 
+def test_constructor_and_from_flat_hold_one_layout():
+    """The constructor and `_from_flat`, given the same numbers, keep them
+    in the same one flat array, rows as read-only views of it, and give the
+    same `stochastic` and contiguous `thresholds`. The numbers hold a
+    parentless node with a sub-stochastic row and a sub-stochastic row of
+    a child."""
+    dag = CausalDag(((), (), (0, 1)))
+    rows = [[[0.2, 0.3]], [[0.4, 0.6]],
+            [[0.9, 0.1], [0.5, 0.5], [0.1, 0.7], [0.0, 1.0]]]
+    made = ConditionalTable(tuple(rows))
+    flat = ConditionalTable._from_flat(dag, np.array([r for node in rows for r in node]))
+    for table in (made, flat):
+        assert table.stochastic.tolist() == [False, True, False]
+        assert table.thresholds.tolist() == [0.3, 0.6, 0.1, 0.5, 0.7, 1.0]
+        assert table.thresholds.flags.c_contiguous
+        base = table.rows[0].base
+        assert base.shape == (dag.total_rows, 2) and not base.flags.writeable
+        assert all(r.base is base and not r.flags.writeable for r in table.rows)
+    assert all(np.array_equal(a, b) for a, b in zip(made.rows, flat.rows, strict=True))
+
+
 def test_validate_flags_complement_sum():
     dag = chain_dag()
     rows = [np.array([[0.5, 0.5]]), np.array([[0.7, 0.3], [0.2, 0.8]]),

@@ -1,9 +1,9 @@
 """The sweeps against the brute-force oracles on random networks, the zero
 prefix mass that phase 1's skip relies on, phase 1's stored reach against a
 fresh sweep, the chunking of the arm axis, the
-clique sizes of the elimination plans and their cache, and the engine's
-plans and bits against a reference planner on Python sets that builds
-every factor per arm."""
+clique sizes of the elimination plans and their cache, the engine's plans
+and bits against a reference planner on Python sets that builds every
+factor per arm, and the arm-last layout of the engine's factors."""
 import heapq
 import itertools
 from contextlib import contextmanager
@@ -460,6 +460,54 @@ def test_engine_matches_reference_bitwise(net):
 def test_engine_matches_reference_bitwise_on_width_cases(name):
     build, _ = WIDTH_CASES[name]
     assert_matches_reference(*build())
+
+
+def tree_case(budget):
+    """Tree-h4 with one unseen row of node 20; every arm fixes all 16 leaves."""
+    inst = make_binary_tree_instance(4, budget, 11)
+    rows = [r.copy() for r in inst.table.rows]
+    rows[20][1] = 0.0
+    return ConditionalTable(tuple(rows)), inst.dag, inst.arms
+
+
+@pytest.mark.parametrize("build", [tree_case, alarm_case], ids=["tree-h4", "alarm"])
+def test_engine_matches_reference_bitwise_across_chunk_edges(build, monkeypatch):
+    """The engine turns each chunk from arms-last to arms-first in one
+    transpose, so a layout bug would show at the chunk edges. Under a small
+    state budget every query of tree-h4 and alarm at b=4 splits into several
+    chunks and ends on a partial one, and still gives the reference's bits."""
+    table, dag, arms = build(4)
+    monkeypatch.setattr(inference, "STATE_BUDGET", 300)
+    free_any = (arms.matrix == FREE).any(axis=0)
+    for n in range(dag.node_count):
+        chunk = max(1, inference.STATE_BUDGET >> inference._plan(table, dag, free_any, n).width)
+        assert chunk < len(arms) and len(arms) % chunk
+    assert_matches_reference(table, dag, arms)
+
+
+def test_factors_keep_the_arm_axis_last():
+    """`_factor`'s layout: shape (2^|scope|, arms), or (2^|scope|, 1) when
+    the factor is arm-free, C-contiguous so that products and sums run over
+    contiguous arms, with the reference's values transposed. The cases hold
+    arm-free factors, factors read partly off the arm matrix and clamp
+    indicators."""
+    kinds = set()
+    for table, dag, arms in (tree_case(2), alarm_case(2)):
+        m = arms.matrix
+        fixed = m.T.astype(np.int64, order="C")
+        every_free = (m == FREE).all(axis=0).tolist()
+        free_any = (m == FREE).any(axis=0)
+        for n in range(dag.node_count):
+            for node, scope, sources in inference._plan(table, dag, free_any, n).factors:
+                f = inference._factor(table, dag, fixed, every_free, node, scope, sources)
+                arm_free = sources is not None and every_free[node] and None not in sources
+                kinds.add("indicator" if sources is None else
+                          "arm-free" if arm_free else "per-arm")
+                assert f.shape == (1 << len(scope), 1 if arm_free else len(m))
+                assert f.dtype == np.float64 and f.flags.c_contiguous
+                want = _ref_factor(table, dag, m.astype(np.int64), node, scope, sources)
+                assert np.array_equal(np.broadcast_to(f, want.T.shape), want.T)
+    assert kinds == {"indicator", "arm-free", "per-arm"}
 
 
 def phase1_case(name):
