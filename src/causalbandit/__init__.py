@@ -55,7 +55,6 @@ from .model import (
 )
 from .phase1 import (
     Phase1Result,
-    TruncationSets,
     fold_counts,
     rate_estimates,
     run_phase1,

@@ -16,9 +16,10 @@ and the active arm's negated subgradient `coef @ values`; the rest is the dot
 h.w, five ufunc reductions and eight elementwise passes, nine with an offset.
 It allocates no array data, except in the branch for a nonpositive denominator.
 
-`allocation_complexity` is the offset-free version built from an instance's
-true parent probabilities; its optimum is the instance's intrinsic difficulty
-constant.
+`allocation_complexity` solves the offset-free version, built as phase 2's
+is, `RatioObjective(reach[kept], offsets)` over reach laid out as phase 1's,
+from an instance's true parent probabilities; its optimum is the instance's
+intrinsic difficulty constant.
 """
 from __future__ import annotations
 
@@ -110,8 +111,8 @@ def evaluate(objective: RatioObjective, weights) -> tuple[float, int]:
     """Max over arms of the row sums at the given weights, with the smallest
     maximizing arm index."""
     w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (objective.n_arms,):
-        raise ParameterError(f"weights must have shape ({objective.n_arms},)")
+    if w.shape != (objective.n_arms,) or not np.isfinite(w).all():
+        raise ParameterError(f"weights must be {objective.n_arms} finite numbers")
     t = objective.n_terms
     vals = _row_sums(objective, w, np.empty(t), np.empty(t), np.empty(objective.n_arms))
     arg = int(vals.argmax())
@@ -178,31 +179,34 @@ def minimize(objective: RatioObjective, config: SolverConfig | None = None,
 
 def vote_share(best_arms, n_arms: int) -> np.ndarray:
     """Share of (node, parent-row) pairs whose best arm is each arm, given one
-    vector of best-arm indices per node; zero everywhere when nothing votes."""
-    votes = np.concatenate([np.zeros(0, dtype=np.int64), *best_arms])
-    return np.bincount(votes, minlength=n_arms) / max(len(votes), 1)
+    vector of every pair's best-arm index; zero everywhere when nothing votes."""
+    votes = np.asarray(best_arms)
+    if votes.ndim != 1 or votes.size and (votes.dtype.kind not in "iu" or votes.min() < 0
+                                          or votes.max() >= n_arms):
+        raise ParameterError(f"best arms must be one vector of indices in [0, {n_arms})")
+    return np.bincount(votes.astype(np.intp), minlength=n_arms) / max(len(votes), 1)
 
 
 def build_exact_objective(instance: Instance) -> tuple[RatioObjective, np.ndarray]:
-    """Offset-free objective from the instance's true parent probabilities.
+    """Offset-free objective over the rows of the true parent probabilities,
+    laid out as phase 1's reach, that reach the cutoff. Reach is zero where an
+    arm fixes the node, so the cutoff leaves exactly the arms that free it.
 
     Also returns the counting-based candidate weights, the `vote_share` of
-    every pair's highest-probability arm. That point's value never exceeds
-    (node count) x (row count), which pins the upper end of the achievable
-    range.
+    every uncertain pair's highest-probability arm. That point's value never
+    exceeds (node count) x (row count), which pins the upper end of the
+    achievable range.
     """
     dag, arms = instance.dag, instance.arms
-    rows = []
-    best = []
+    reach = np.zeros((dag.total_rows, len(arms)))
+    best = np.full(dag.total_rows, -1)
     for n in arms.uncertain_nodes:
-        # zero where the arm fixes n, so the objective's cutoff leaves
-        # exactly the arms that free n
-        reach = parent_probabilities(instance.table, dag, n, arms)
-        best.append(reach.argmax(axis=0))
-        rows.extend(vec for vec in reach.T if (vec ** 2 >= NUMERATOR_CUTOFF).any())
-    shape = (len(rows), len(arms))  # holds when no term survives, too
-    objective = RatioObjective(np.reshape(rows, shape), np.zeros(len(rows)))
-    return objective, vote_share(best, len(arms))
+        lo, hi = dag.row_offsets[n], dag.row_offsets[n + 1]
+        reach[lo:hi] = parent_probabilities(instance.table, dag, n, arms).T
+        best[lo:hi] = reach[lo:hi].argmax(axis=1)
+    values = reach[(reach ** 2 >= NUMERATOR_CUTOFF).any(axis=1)]
+    del reach  # freed before the objective squares the kept rows: holding both set the peak
+    return RatioObjective(values, np.zeros(len(values))), vote_share(best[best >= 0], len(arms))
 
 
 def allocation_complexity(instance: Instance,

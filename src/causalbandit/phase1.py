@@ -16,15 +16,17 @@ the pair's node counts for nothing there. `rate_estimates`, the rule both
 phases use, reads the rates off the counts. Rates whose (rate x best reach)
 product falls under the truncation threshold are marked unreliable and zeroed
 in the returned table; pairs whose best reach itself is tiny are marked rare
-and only excluded later, at final-estimate time. The trimmed estimate is kept
-in the same flat row layout as the counts, and each step writes its pairs'
-rows there. Each parent query reads a read-only copy of it, and the returned
-table is built over that array itself.
+and only excluded later, at final-estimate time. Every per-pair array but
+`seen` and `seen_one` is kept in `fold_counts`' flat row layout, where row
+`dag.row_offsets[n] + r` is node n's parent row r: `reach` is one (total
+rows, arms) matrix. Each step writes its pairs' rows of the trimmed estimate,
+each parent query reads a read-only copy of it, and the returned table is
+built over that array itself.
 
 Once every arm's prefix mass is exactly zero, the later nodes' queries are
-skipped and they keep their zero `reach` (argmax arm 0, max 0), as the
-sweeps would give. An arm that leaves node n free and gets an all-zero
-`reach[n]` row is dead: every factor is nonnegative, the sub-stochastic
+skipped and their rows keep zero `reach` (argmax arm 0, max 0), as the
+sweeps would give. An arm that leaves node n free and gets zero reach on
+every row of n is dead: every factor is nonnegative, the sub-stochastic
 nodes and free ancestors that zeroed its mass are in every later query's
 relevant set, and the stochastic nodes a later query adds have positive row
 sums, so every term of a later sweep holds an exact zero and it returns
@@ -72,21 +74,6 @@ def rate_estimates(seen, seen_one) -> np.ndarray:
     return np.where((seen > 0)[:, None], np.stack([1.0 - rate_one, rate_one], axis=1), 0.0)
 
 
-@dataclass(frozen=True)
-class TruncationSets:
-    """Per-node boolean masks of shape (rows, 2), indexed [parent row, value]."""
-
-    unreliable: tuple[np.ndarray, ...]
-    rare: tuple[np.ndarray, ...]
-
-    def dropped(self, n: int) -> np.ndarray:
-        return self.unreliable[n] | self.rare[n]
-
-    def dropped_rows(self, n: int) -> np.ndarray:
-        """Parent rows of node n with both values dropped."""
-        return self.dropped(n).all(axis=1)
-
-
 def fold_counts(dag: CausalDag, arm_values, omega: np.ndarray) -> np.ndarray:
     """Counts of a batch, flat shape (total rows, 2) indexed
     [`dag.row_offsets[n]` + parent row, value]. `arm_values` is the one arm
@@ -102,13 +89,14 @@ class Phase1Result:
     dag: CausalDag
     arms: InterventionSet
     trimmed: ConditionalTable
-    truncation: TruncationSets
-    seen: tuple[np.ndarray, ...]
+    unreliable: np.ndarray  # (total rows, 2) masks, indexed [row, value]
+    rare: np.ndarray
+    seen: tuple[np.ndarray, ...]  # per node
     seen_one: tuple[np.ndarray, ...]
-    reach: tuple[np.ndarray, ...]  # (arms, rows) per node; zero where no arm frees it
-    best_arm: tuple[np.ndarray, ...]
-    best_value: tuple[np.ndarray, ...]
-    shared: np.ndarray  # the folds of every batch summed, laid out as `fold_counts`'
+    reach: np.ndarray  # (total rows, arms); zero on the rows of nodes no arm frees
+    best_arm: np.ndarray  # per row; -1 on the rows of nodes no arm frees
+    best_value: np.ndarray
+    shared: np.ndarray  # the folds of every batch summed
     trunc_scale: float
     horizon: int
     per_pair: int
@@ -133,30 +121,30 @@ def run_phase1(env: SimulatedEnvironment, dag: CausalDag, arms: InterventionSet,
     threshold = (truncation_threshold(trunc_scale, dag.node_count, pair_count, horizon)
                  if trunc_scale > 0 else 0.0)
 
-    check_arm_cells(len(arms), dag.total_rows, "rows")  # the reach matrices
-    rows = [dag.row_count(n) for n in range(dag.node_count)]
-    # the per-pair arrays, the trimmed estimate among them, are laid out as `fold_counts`' rows
+    check_arm_cells(len(arms), dag.total_rows, "rows")  # the reach matrix
+    # every per-pair array, the trimmed estimate among them, is laid out as `fold_counts`' rows
     trimmed = np.zeros((dag.total_rows, 2))
     own = np.zeros_like(trimmed, dtype=np.int64)  # each pair's row of its own batch
     shared = np.zeros_like(own)
     unreliable = np.zeros(own.shape, dtype=bool)
-    row_node = np.repeat(np.arange(dag.node_count), rows)
+    row_node = np.repeat(np.arange(dag.node_count),
+                         [dag.row_count(n) for n in range(dag.node_count)])
     # a skipped node keeps argmax 0 and max 0; -1 marks the rows of nodes no arm frees
     best_arm = np.where(arms.ever_free[row_node], 0, -1)
     best_value = np.zeros(dag.total_rows)
-    reach = [np.zeros((len(arms), r)) for r in rows]
+    reach = np.zeros((dag.total_rows, len(arms)))  # rows first, so reach[rows] is C-ordered
 
     exact_zeros = dag.node_count * math.log2(horizon) < 1000  # see the module docstring
     alive = np.ones(len(arms), dtype=bool)  # arms whose prefix mass may be nonzero
     for n in uncertain:
-        # the query reads only nodes before n, so one per node serves every row
-        reach[n] = parent_probabilities(ConditionalTable._from_flat(dag, trimmed.copy()),
-                                        dag, n, arms)
         lo, hi = dag.row_offsets[n], dag.row_offsets[n + 1]
-        best_arm[lo:hi] = np.argmax(reach[n], axis=0)
-        best_value[lo:hi] = reach[n].max(axis=0)
+        # the query reads only nodes before n, so one per node serves every row
+        reach[lo:hi] = parent_probabilities(ConditionalTable._from_flat(dag, trimmed.copy()),
+                                            dag, n, arms).T
+        best_arm[lo:hi] = np.argmax(reach[lo:hi], axis=1)
+        best_value[lo:hi] = reach[lo:hi].max(axis=1)
         if exact_zeros:
-            alive &= (arms.matrix[:, n] != FREE) | reach[n].any(axis=1)
+            alive &= (arms.matrix[:, n] != FREE) | reach[lo:hi].any(axis=0)
         tail = not alive.any()  # then n's pairs and every later one are drawn now
         pairs = lo + np.flatnonzero(best_arm[lo:dag.total_rows if tail else hi] >= 0)
         # pair i's batch is the per_pair draws from i * per_pair
@@ -187,12 +175,13 @@ def run_phase1(env: SimulatedEnvironment, dag: CausalDag, arms: InterventionSet,
         dag=dag,
         arms=arms,
         trimmed=ConditionalTable._from_flat(dag, trimmed),
-        truncation=TruncationSets(dag.split_rows(unreliable), dag.split_rows(rare)),
+        unreliable=unreliable,
+        rare=rare,
         seen=dag.split_rows(own.sum(axis=1)),
         seen_one=dag.split_rows(own[:, 1]),
-        reach=tuple(reach),
-        best_arm=dag.split_rows(best_arm),
-        best_value=dag.split_rows(best_value),
+        reach=reach,
+        best_arm=best_arm,
+        best_value=best_value,
         shared=shared,
         trunc_scale=trunc_scale,
         horizon=horizon,

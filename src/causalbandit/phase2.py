@@ -10,7 +10,7 @@ for its pick count. One sampler call draws both parts and one `fold_counts`
 folds them, so every node the applied arm leaves free absorbs every sample.
 Practical mode starts from phase 1's shared counts, paper mode from zero.
 Final rates follow `phase1.rate_estimates` and are zeroed wherever phase 1
-dropped the entry.
+dropped the entry. Everything is read in phase 1's flat row layout.
 """
 from __future__ import annotations
 
@@ -30,17 +30,13 @@ WEIGHT_CLIP = 1e-12
 
 
 def build_allocation_objective(phase1: Phase1Result) -> RatioObjective:
-    """Ratio objective over the surviving pairs, read off phase 1's reach, with
-    offsets best reach / row count. A pair survives when at least one of its
-    two conditional values escaped truncation. Reach is zero wherever an arm
-    fixes the node, so such an arm neither scores nor informs its terms."""
-    rows, offsets = [], []
-    for n in phase1.uncertain_nodes:
-        kept = np.flatnonzero(~phase1.truncation.dropped_rows(n))
-        rows.extend(phase1.reach[n][:, kept].T)
-        offsets.extend(phase1.best_value[n][kept] / phase1.uncertain_rows)
-    shape = (len(rows), len(phase1.arms))  # holds when no pair survives, too
-    return RatioObjective(np.reshape(rows, shape), np.array(offsets))
+    """Ratio objective over the surviving pairs, the rows of phase 1's reach
+    with offsets best reach / row count. A pair survives when its node is
+    uncertain and at least one of its two conditional values escaped
+    truncation. Reach is zero wherever an arm fixes the node, so such an arm
+    neither scores nor informs its terms."""
+    kept = (phase1.best_arm >= 0) & ~(phase1.unreliable | phase1.rare).all(axis=1)
+    return RatioObjective(phase1.reach[kept], phase1.best_value[kept] / phase1.uncertain_rows)
 
 
 @dataclass(frozen=True)
@@ -61,13 +57,13 @@ def run_phase2(env: SimulatedEnvironment, phase1: Phase1Result, mode: str, rng) 
     rng = np.random.default_rng(rng)
 
     # each pair's best arm: the replay's batches and practical mode's votes
-    best_arms = np.concatenate([phase1.best_arm[n] for n in phase1.uncertain_nodes])
+    best_arms = phase1.best_arm[phase1.best_arm >= 0]
     solver = None
     if mode == "paper":
         solver = minimize(build_allocation_objective(phase1))
         weights = solver.weights.copy()
     else:
-        weights = vote_share([best_arms], len(arms))
+        weights = vote_share(best_arms, len(arms))
     weights[weights < WEIGHT_CLIP] = 0.0
     total = weights.sum()
     weights = weights / total if total > 0 else np.full(len(arms), 1.0 / len(arms))
@@ -83,10 +79,10 @@ def run_phase2(env: SimulatedEnvironment, phase1: Phase1Result, mode: str, rng) 
                           env.intervene_many(batches, int(sizes.sum()), sizes))
 
     seen = counts.sum(axis=1)
-    rates = dag.split_rows(rate_estimates(seen, counts[:, 1]))  # zero on nodes no arm frees
+    rates = rate_estimates(seen, counts[:, 1])  # zero on nodes no arm frees
     return Phase2Result(
-        estimate=ConditionalTable(tuple(np.where(phase1.truncation.dropped(n), 0.0, r)
-                                        for n, r in enumerate(rates))),
+        estimate=ConditionalTable._from_flat(dag, np.where(phase1.unreliable | phase1.rare,
+                                                           0.0, rates)),
         seen=dag.split_rows(seen),
         seen_one=dag.split_rows(counts[:, 1]),
         weights=weights,

@@ -241,8 +241,9 @@ def test_criterion_6_estimation_consistency():
         p1 = run_phase1(env, inst.dag, inst.arms, trunc_scale, horizon)
         p2 = run_phase2(env, p1, "paper", np.random.default_rng(2000 + run))
         run_alpha = 0.0
+        dropped = inst.dag.split_rows(p1.unreliable | p1.rare)
         for n in p1.uncertain_nodes:
-            keep = ~p1.truncation.dropped_rows(n)
+            keep = ~dropped[n].all(axis=1)
             if keep.any():
                 run_alpha = max(run_alpha, float(np.abs(
                     p2.estimate.rows[n][keep] - inst.table.rows[n][keep]).max()))

@@ -12,6 +12,7 @@ from causalbandit.allocation import (
     build_exact_objective,
     evaluate,
     minimize,
+    vote_share,
 )
 from causalbandit.errors import IllPosedObjectiveError, ParameterError
 from causalbandit.model import FREE
@@ -55,6 +56,14 @@ def test_evaluate_rejects_wrong_dimension():
     obj = single_term(3)
     with pytest.raises(ParameterError):
         evaluate(obj, np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.inf, 0.0], [0.5, -np.inf]])
+def test_evaluate_rejects_non_finite_weights(weights):
+    # [nan, nan] used to evaluate as if every denominator were 1
+    obj = RatioObjective(np.array([[0.5, 0.25], [0.0, 0.8]]), np.array([0.0, 0.05]))
+    with pytest.raises(ParameterError):
+        evaluate(obj, np.array(weights))
 
 
 def test_zero_denominator_with_live_numerator_raises():
@@ -228,6 +237,13 @@ def test_complexity_single_arm_exact():
         res = allocation_complexity(inst0)
         expect = int((inst0.arms.matrix[0] == FREE).sum())
         assert res.value == pytest.approx(expect, abs=1e-3)
+
+
+@pytest.mark.parametrize("best_arms", [[5], [3], [0, -1], [[5]], [[0, 1]], 1, [1.5]])
+def test_vote_share_refuses_what_is_not_one_vector_of_arm_indices(best_arms):
+    # [5] and [[5]] used to give a vector of 6 shares, [0, -1] numpy's ValueError
+    with pytest.raises(ParameterError):
+        vote_share(best_arms, 3)
 
 
 def test_counting_candidate_matches_vote_shares():

@@ -124,11 +124,13 @@ def test_phase1_reach_is_the_parent_sweep_of_its_table(net, seed):
     for scale in (0.0, 1e-3, 1e9):
         p1 = run_phase1(SimulatedEnvironment(inst, seed), dag, arms, scale,
                         6 * inst.uncertain_rows)
+        reach = [r.T for r in dag.split_rows(p1.reach)]  # (arms, rows) per node
+        best_arm, best_value = dag.split_rows(p1.best_arm), dag.split_rows(p1.best_value)
         for n in range(dag.node_count):
-            assert np.array_equal(p1.reach[n], parent_probabilities(p1.trimmed, dag, n, arms))
+            assert np.array_equal(reach[n], parent_probabilities(p1.trimmed, dag, n, arms))
         for n in p1.uncertain_nodes:
-            assert np.array_equal(p1.best_arm[n], p1.reach[n].argmax(axis=0))
-            assert np.array_equal(p1.best_value[n], p1.reach[n].max(axis=0))
+            assert np.array_equal(best_arm[n], reach[n].argmax(axis=0))
+            assert np.array_equal(best_value[n], reach[n].max(axis=0))
 
 
 @contextmanager

@@ -108,7 +108,7 @@ def test_draws_of_a_node_its_chosen_arm_clamps_are_not_counted():
     inst = Instance(dag, table, arms)
     res = run_phase1(SimulatedEnvironment(inst, 3), dag, arms, 0.0, 3000)
     assert res.per_pair == 200
-    assert res.best_arm[1].tolist() == [1, 0]
+    assert dag.split_rows(res.best_arm)[1].tolist() == [1, 0]
     assert res.seen[1].tolist() == [200, 0]
     assert res.seen_one[1][1] == 0
     assert np.array_equal(res.trimmed.rows[1][1], [0.0, 0.0])
@@ -121,7 +121,7 @@ def test_zero_scale_disables_truncation():
     env = SimulatedEnvironment(inst, 1)
     res = run_phase1(env, inst.dag, inst.arms, 0.0, 3 * inst.uncertain_rows * 10)
     assert res.threshold == 0.0
-    assert not any(m.any() for m in res.truncation.unreliable + res.truncation.rare)
+    assert not (res.unreliable.any() or res.rare.any())
 
 
 def test_huge_scale_truncates_everything():
@@ -129,11 +129,12 @@ def test_huge_scale_truncates_everything():
     inst = random_instance(rng, n_nodes=5, n_arms=3)
     env = SimulatedEnvironment(inst, 1)
     res = run_phase1(env, inst.dag, inst.arms, 1e9, 3 * inst.uncertain_rows * 10)
+    unreliable, rare = inst.dag.split_rows(res.unreliable), inst.dag.split_rows(res.rare)
     for n in res.uncertain_nodes:
-        assert res.truncation.unreliable[n].all()
-        assert res.truncation.rare[n].all()
+        assert unreliable[n].all()
+        assert rare[n].all()
         assert np.all(res.trimmed.rows[n] == 0.0)
-        assert res.truncation.dropped_rows(n).all()
+        assert (unreliable[n] | rare[n]).all(axis=1).all()
 
 
 @pytest.mark.parametrize("max_parents,trunc_scale", [(3, 1e-3), (1, 1e-2)])
@@ -148,14 +149,16 @@ def test_partial_truncation_matches_scalar_verdicts(max_parents, trunc_scale):
     res = run_phase1(env, inst.dag, inst.arms, trunc_scale,
                      3 * inst.uncertain_rows * 200)
     cut = 2.0 * math.e * res.threshold
+    dag = inst.dag
+    best_value, unreliable = dag.split_rows(res.best_value), dag.split_rows(res.unreliable)
     verdicts = []
     for n in res.uncertain_nodes:
         for row in range(inst.dag.row_count(n)):
             t, t1 = int(res.seen[n][row]), int(res.seen_one[n][row])
             rate_one = t1 / t if t else 0.0
             for value, est in ((0, 1.0 - rate_one if t else 0.0), (1, rate_one)):
-                drop = est * float(res.best_value[n][row]) <= cut
-                assert res.truncation.unreliable[n][row, value] == drop
+                drop = est * float(best_value[n][row]) <= cut
+                assert unreliable[n][row, value] == drop
                 assert (res.trimmed.rows[n][row, value] == 0.0) == drop
                 verdicts.append(drop)
     assert any(verdicts) and not all(verdicts)
@@ -166,13 +169,14 @@ def test_counts_bounded_by_batch_size():
     inst = random_instance(rng, n_nodes=6, n_arms=4)
     env = SimulatedEnvironment(inst, 2)
     res = run_phase1(env, inst.dag, inst.arms, 0.0, 3 * inst.uncertain_rows * 25)
+    best_arm, best_value = inst.dag.split_rows(res.best_arm), inst.dag.split_rows(res.best_value)
     for n in res.uncertain_nodes:
         assert np.all(res.seen[n] <= res.per_pair)
         assert np.all(res.seen_one[n] <= res.seen[n])
-        assert np.all(res.best_arm[n] >= 0)
-        assert np.all(res.best_arm[n] < len(inst.arms))
-        assert np.all(res.best_value[n] >= 0.0)
-        assert np.all(res.best_value[n] <= 1.0 + 1e-12)
+        assert np.all(best_arm[n] >= 0)
+        assert np.all(best_arm[n] < len(inst.arms))
+        assert np.all(best_value[n] >= 0.0)
+        assert np.all(best_value[n] <= 1.0 + 1e-12)
 
 
 def test_shared_counts_cover_every_batch_for_single_free_arm():

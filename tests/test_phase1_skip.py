@@ -24,7 +24,6 @@ from causalbandit.model import (
 )
 from causalbandit.phase1 import (
     Phase1Result,
-    TruncationSets,
     fold_counts,
     rate_estimates,
     run_phase1,
@@ -79,18 +78,19 @@ def reference_run_phase1(env, dag, arms, trunc_scale, horizon):
         for n in uncertain:
             rare[n][best_value[n] <= rare_cut, :] = True
 
-    return Phase1Result(
+    return Phase1Result(  # the per-node arrays in the result's flat row layout
         dag=dag, arms=arms, trimmed=table,
-        truncation=TruncationSets(tuple(unreliable), tuple(rare)),
+        unreliable=np.concatenate(unreliable), rare=np.concatenate(rare),
         seen=dag.split_rows(own.sum(axis=1)), seen_one=dag.split_rows(own[:, 1]),
-        reach=tuple(reach), best_arm=tuple(best_arm), best_value=tuple(best_value),
+        reach=np.concatenate([r.T for r in reach]), best_arm=np.concatenate(best_arm),
+        best_value=np.concatenate(best_value),
         shared=shared, trunc_scale=trunc_scale, horizon=horizon, per_pair=per_pair,
         threshold=threshold, uncertain_nodes=uncertain, uncertain_rows=total_rows)
 
 
 def result_arrays(p1):
-    return (p1.trimmed.rows + p1.truncation.unreliable + p1.truncation.rare + p1.seen
-            + p1.seen_one + p1.reach + p1.best_arm + p1.best_value + (p1.shared,))
+    return (p1.trimmed.rows + (p1.unreliable, p1.rare) + p1.seen + p1.seen_one
+            + (p1.reach, p1.best_arm, p1.best_value, p1.shared))
 
 
 def assert_same_bits(got, want):
@@ -151,9 +151,11 @@ def test_alarm_at_multiplier_3_skips_queries(seed, monkeypatch):
     p1 = run_phase1(SimulatedEnvironment(inst, seed), inst.dag, inst.arms, 0.0,
                     3 * inst.uncertain_rows)
     assert len(calls) < len(p1.uncertain_nodes)
+    reach = inst.dag.split_rows(p1.reach)
+    best_arm, best_value = inst.dag.split_rows(p1.best_arm), inst.dag.split_rows(p1.best_value)
     for n in p1.uncertain_nodes[len(calls):]:
-        assert not p1.reach[n].any()
-        assert not p1.best_arm[n].any() and not p1.best_value[n].any()
+        assert not reach[n].any()
+        assert not best_arm[n].any() and not best_value[n].any()
 
 
 def chain_instance(n_nodes):
@@ -175,7 +177,8 @@ def test_long_chain_runs_every_query_past_the_underflow_bound(monkeypatch):
         assert (n_nodes * math.log2(horizon) >= 1000) == held_back
         calls = count_queries(monkeypatch)
         p1 = run_phase1(SimulatedEnvironment(inst, 5), inst.dag, inst.arms, 0.0, horizon)
-        dead = [n for n in p1.uncertain_nodes if not p1.reach[n].any()]
+        reach = inst.dag.split_rows(p1.reach)
+        dead = [n for n in p1.uncertain_nodes if not reach[n].any()]
         assert dead and dead[0] < n_nodes // 2
         assert dead == list(range(dead[0], n_nodes))
         assert len(calls) == (n_nodes if held_back else dead[0] + 1)
@@ -235,7 +238,7 @@ def test_a_tail_node_that_arm_0_clamps_keeps_no_own_counts(scale, seed, monkeypa
     p1 = assert_matches_the_reference(inst, 3 * inst.uncertain_rows, scale, seed)
     assert 30 in tail(p1, calls)
     assert not p1.seen[30].any() and not p1.seen_one[30].any()
-    assert not p1.best_arm[30].any() and not p1.trimmed.rows[30].any()
+    assert not inst.dag.split_rows(p1.best_arm)[30].any() and not p1.trimmed.rows[30].any()
 
 
 @pytest.mark.parametrize("scale", [0.0, 1e-9])
@@ -260,8 +263,9 @@ def test_a_tail_under_truncation(source, scale, monkeypatch):
     calls = count_queries(monkeypatch)
     p1 = assert_matches_the_reference(inst, 3 * inst.uncertain_rows, scale, 11)
     assert p1.threshold > 0 and tail(p1, calls)
+    unreliable, rare = inst.dag.split_rows(p1.unreliable), inst.dag.split_rows(p1.rare)
     for n in tail(p1, calls):  # zero reach: every rate is dropped
-        assert p1.truncation.unreliable[n].all() and p1.truncation.rare[n].all()
+        assert unreliable[n].all() and rare[n].all()
 
 
 @settings(max_examples=40, deadline=None)

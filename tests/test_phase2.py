@@ -118,10 +118,11 @@ def test_weights_on_simplex():
 
 def test_vote_share_matches_vote_counts():
     inst, p1, _ = prepared(17)
-    eta = vote_share([p1.best_arm[n] for n in p1.uncertain_nodes], len(inst.arms))
+    eta = vote_share(p1.best_arm[p1.best_arm >= 0], len(inst.arms))
+    best_arm = inst.dag.split_rows(p1.best_arm)
     counts = np.zeros(len(inst.arms))
     for n in p1.uncertain_nodes:
-        for a in p1.best_arm[n]:
+        for a in best_arm[n]:
             counts[a] += 1
     assert np.allclose(eta, counts / inst.uncertain_rows)
     assert eta.sum() == pytest.approx(1.0)
@@ -149,8 +150,9 @@ def test_objective_terms_and_offsets():
     obj = build_allocation_objective(p1)
     assert obj.n_terms == inst.uncertain_rows  # nothing truncated
     offsets = []
+    best_value = inst.dag.split_rows(p1.best_value)
     for n in p1.uncertain_nodes:
-        offsets.extend(p1.best_value[n] / inst.uncertain_rows)
+        offsets.extend(best_value[n] / inst.uncertain_rows)
     assert np.allclose(obj.offset, offsets)
 
 
@@ -176,7 +178,8 @@ def assert_terms_are_zero_where_the_arm_fixes_the_node(inst, horizon, scale, see
     for n in range(dag.node_count):
         assert not parent_probabilities(inst.table, dag, n, arms)[fixed[:, n]].any()
     p1 = run_phase1(SimulatedEnvironment(inst, seed), dag, arms, scale, horizon)
-    node = np.repeat(p1.uncertain_nodes, [np.count_nonzero(~p1.truncation.dropped_rows(n))
+    dropped = dag.split_rows(p1.unreliable | p1.rare)
+    node = np.repeat(p1.uncertain_nodes, [np.count_nonzero(~dropped[n].all(axis=1))
                                           for n in p1.uncertain_nodes])
     values = build_allocation_objective(p1).values
     assert values.shape == (len(node), len(arms))
@@ -205,7 +208,8 @@ def test_tail_terms_are_exactly_zero_where_the_arm_fixes_the_node():
     inst = Instance(chain.dag, chain.table, InterventionSet(matrix))
     p1 = assert_terms_are_zero_where_the_arm_fixes_the_node(
         inst, 3 * inst.uncertain_rows, 0.0, 0)
-    assert not p1.reach[30].any() and not p1.truncation.dropped_rows(30).any()
+    lo, hi = inst.dag.row_offsets[30:32]
+    assert not p1.reach[lo:hi].any() and not (p1.unreliable | p1.rare)[lo:hi].all(axis=1).any()
 
 
 def test_truncated_pairs_leave_objective():

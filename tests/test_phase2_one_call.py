@@ -25,7 +25,7 @@ def reference_run_phase2(env, phase1, mode, rng):
     if mode == "paper":
         weights = minimize(build_allocation_objective(phase1)).weights.copy()
     else:
-        weights = vote_share([phase1.best_arm[n] for n in phase1.uncertain_nodes], len(arms))
+        weights = vote_share(phase1.best_arm[phase1.best_arm >= 0], len(arms))
     weights[weights < WEIGHT_CLIP] = 0.0
     total = weights.sum()
     weights = weights / total if total > 0 else np.full(len(arms), 1.0 / len(arms))
@@ -34,7 +34,7 @@ def reference_run_phase2(env, phase1, mode, rng):
     picks = np.searchsorted(np.cumsum(weights), rng.random(draws), side="right")
     pick_counts = np.bincount(np.clip(picks, 0, len(arms) - 1), minlength=len(arms))
     counts = phase1.shared.copy() if mode == "practical" else np.zeros_like(phase1.shared)
-    replay = arms.take(np.concatenate([phase1.best_arm[n] for n in phase1.uncertain_nodes]))
+    replay = arms.take(phase1.best_arm[phase1.best_arm >= 0])
     counts += fold_counts(dag, np.repeat(replay.matrix, phase1.per_pair, axis=0),
                           env.intervene_many(replay, len(replay) * phase1.per_pair))
     for arm_idx in np.flatnonzero(pick_counts):
@@ -44,7 +44,8 @@ def reference_run_phase2(env, phase1, mode, rng):
 
     seen = counts.sum(axis=1)
     rates = dag.split_rows(rate_estimates(seen, counts[:, 1]))
-    estimate = ConditionalTable(tuple(np.where(phase1.truncation.dropped(n), 0.0, r)
+    dropped = dag.split_rows(phase1.unreliable | phase1.rare)
+    estimate = ConditionalTable(tuple(np.where(dropped[n], 0.0, r)
                                       for n, r in enumerate(rates)))
     return (estimate, dag.split_rows(seen), dag.split_rows(counts[:, 1]), weights,
             draws), pick_counts
